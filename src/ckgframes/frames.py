@@ -129,6 +129,17 @@ def frame_operator(fam: OperatorFamily) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
+def _stacked_frame_operator(rows: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
+    """``S`` from the operators stacked in atom order, ``(total fiber dim, n)``.
+
+    ``row_weights`` repeats each atom's weight over its rows.  One product
+    instead of one per atom, so it may differ from :func:`frame_operator` in
+    the last bits.
+    """
+    s = (rows.conj().T * row_weights) @ rows
+    return (s + s.conj().T) / 2.0
+
+
 def synthesis_matrix(fam: OperatorFamily) -> np.ndarray:
     """Matrix of the synthesis operator on weight-packed coefficients.
 

@@ -25,8 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InadmissibleParams, InvalidDelta, NotAFrame
-from .frames import FrameBounds, OperatorFamily, check_synthesis_range, frame_operator, optimal_bounds
+from .frames import (
+    FrameBounds,
+    OperatorFamily,
+    _check_reference,
+    _stacked_frame_operator,
+    check_synthesis_range,
+    optimal_bounds,
+)
 from .linalg import DEFAULT_TOL, TolerancePolicy, as_matrix, operator_norm, pseudo_inverse
+from .measure import DiscreteMeasureSpace
 
 __all__ = [
     "PerturbationParams",
@@ -118,23 +126,82 @@ def predicted_bounds(
     return FrameBounds(lower=new_lower, upper=new_upper)
 
 
-def _unit_samples(dim: int, n_samples: int, seed: int) -> np.ndarray:
-    """Deterministic complex-Gaussian unit vectors, one per column."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, n_samples)) + 1j * rng.standard_normal((dim, n_samples))
-    norms = np.linalg.norm(z, axis=0)
-    norms[norms == 0.0] = 1.0
-    return z / norms
+def _sample_pairs(dim: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic complex-Gaussian unit vectors (f, g), one pair per column.
+
+    f and g come from two independent child streams of ``seed``, so no seed's
+    f-samples reappear as another seed's g-samples.
+    """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    pair = []
+    for stream in np.random.SeedSequence(seed).spawn(2):
+        rng = np.random.default_rng(stream)
+        z = rng.standard_normal((dim, n_samples)) + 1j * rng.standard_normal((dim, n_samples))
+        norms = np.linalg.norm(z, axis=0)
+        norms[norms == 0.0] = 1.0
+        pair.append(z / norms)
+    return pair[0], pair[1]
 
 
-def _adversarial_vectors(lam: OperatorFamily, gam: OperatorFamily, k: np.ndarray) -> np.ndarray:
+def _stacked_rows(fam: OperatorFamily) -> np.ndarray:
+    """All operators of the family stacked in atom order: (total fiber dim, n)."""
+    if not fam.ops:
+        return np.zeros((0, fam.ambient_dim), dtype=np.complex128)
+    return np.vstack(fam.ops)
+
+
+def _adversarial_vectors(
+    lam_rows: np.ndarray, gam_rows: np.ndarray, row_weights: np.ndarray, k: np.ndarray
+) -> np.ndarray:
     """Eigenvectors of both frame operators and of K K*, as candidate extremes."""
     candidates = []
-    for h in (frame_operator(lam), frame_operator(gam), k @ k.conj().T):
+    for h in (
+        _stacked_frame_operator(lam_rows, row_weights),
+        _stacked_frame_operator(gam_rows, row_weights),
+        k @ k.conj().T,
+    ):
         sym = (h + h.conj().T) / 2.0
         _, v = np.linalg.eigh(sym)
         candidates.append(v)
     return np.hstack(candidates)
+
+
+def _condition_slack(
+    lam_rows: np.ndarray,
+    gam_rows: np.ndarray,
+    space: DiscreteMeasureSpace,
+    k: np.ndarray,
+    params: PerturbationParams,
+    fs: np.ndarray,
+    gs: np.ndarray,
+) -> np.ndarray:
+    """LHS - RHS of the condition at each pair ``(fs[:, s], gs[:, s])``.
+
+    Works on analysis coefficients: ``<Lam_k* Lam_k f, g> = <Lam_k f, Lam_k g>``
+    is the sum over atom k's rows of ``conj(Lam g) * (Lam f)``.
+    """
+    dims = np.array(space.fiber_dims, dtype=np.intp)
+    nonempty = dims > 0
+    # reduceat gives an empty segment the next row, so zero-dim atoms
+    # (which contribute nothing) are dropped instead
+    starts = (np.cumsum(dims) - dims)[nonempty]
+    weights = space.weights[nonempty]
+
+    def pairing(rows: np.ndarray) -> np.ndarray:
+        # row k, column s: <Lam_k f_s, Lam_k g_s>
+        p = (rows @ gs).conj() * (rows @ fs)
+        return np.add.reduceat(p, starts, axis=0)
+
+    p_lam = pairing(lam_rows)
+    p_gam = pairing(gam_rows)
+    lhs = weights @ np.abs(p_lam - p_gam)
+    rhs = (
+        params.lambda1 * (weights @ np.abs(p_lam))
+        + params.lambda2 * (weights @ np.abs(p_gam))
+        + params.gamma * np.linalg.norm(k.conj().T @ fs, axis=0) ** 2
+    )
+    return lhs - rhs
 
 
 def sample_condition(
@@ -153,39 +220,20 @@ def sample_condition(
     eigenvector pairs of both frame operators and of K K*.  Deterministic
     given (seed, n_samples).
     """
-    if lam.ambient_dim != gam.ambient_dim or len(lam.space) != len(gam.space):
-        raise DimensionMismatch("families must share a measure space and ambient dim")
-    for a, b in zip(lam.space.atoms, gam.space.atoms):
-        if a.fiber_dim != b.fiber_dim:
-            raise DimensionMismatch("families must share per-atom fiber dimensions")
-    k = as_matrix(k)
-    if k.shape[0] != lam.ambient_dim:
+    if lam.ambient_dim != gam.ambient_dim or lam.space.fiber_dims != gam.space.fiber_dims:
         raise DimensionMismatch(
-            f"reference operator has {k.shape[0]} rows, ambient dim is {lam.ambient_dim}"
+            "families must share a measure space, per-atom fiber dimensions and ambient dim"
         )
+    k = _check_reference(lam, k)
+    fs, gs = _sample_pairs(lam.ambient_dim, n_samples, seed)
 
-    weights = lam.space.weights
-    lam_grams = [op.conj().T @ op for op in lam.ops]
-    gam_grams = [op.conj().T @ op for op in gam.ops]
-
-    fs = _unit_samples(lam.ambient_dim, n_samples, seed)
-    gs = _unit_samples(lam.ambient_dim, n_samples, seed + 1)
-    adversarial = _adversarial_vectors(lam, gam, k)
+    lam_rows = _stacked_rows(lam)
+    gam_rows = _stacked_rows(gam)
+    row_weights = np.repeat(lam.space.weights, lam.space.fiber_dims)
+    adversarial = _adversarial_vectors(lam_rows, gam_rows, row_weights, k)
     fs = np.hstack([fs, adversarial])
     gs = np.hstack([gs, adversarial])
-
-    def pairing(grams: list[np.ndarray]) -> np.ndarray:
-        # row k, column s: |<G_k f_s, g_s>|, weighted sum over atoms
-        rows = [np.abs(np.einsum("is,is->s", gs.conj(), g @ fs)) for g in grams]
-        return weights @ np.vstack(rows) if rows else np.zeros(fs.shape[1])
-
-    lhs = pairing([lg - gg for lg, gg in zip(lam_grams, gam_grams)])
-    rhs = (
-        params.lambda1 * pairing(lam_grams)
-        + params.lambda2 * pairing(gam_grams)
-        + params.gamma * np.linalg.norm(k.conj().T @ fs, axis=0) ** 2
-    )
-    return float(np.max(lhs - rhs))
+    return float(np.max(_condition_slack(lam_rows, gam_rows, lam.space, k, params, fs, gs)))
 
 
 def verify_perturbation(
@@ -240,11 +288,7 @@ def project_out_range(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL
     The result annihilates ``range(K)``, so it cannot be a frame for K; use
     it to exercise failure reporting.
     """
-    k = as_matrix(k)
-    if k.shape[0] != fam.ambient_dim:
-        raise DimensionMismatch(
-            f"reference operator has {k.shape[0]} rows, ambient dim is {fam.ambient_dim}"
-        )
+    k = _check_reference(fam, k)
     projector = np.eye(fam.ambient_dim) - k @ pseudo_inverse(k, tol)
     ops = []
     for op in fam.ops:

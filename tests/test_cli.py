@@ -66,6 +66,19 @@ def test_input_error_exit_codes(tmp_path):
     assert main(["run", "--config", invalid]) == 2
 
 
+@pytest.mark.parametrize("field", [{"seed": "abc"}, {"claimed": ["x", 1]}, {"samples": -3}])
+def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, field):
+    config = write_config(tmp_path, {**PAPER_CONFIG, "requests": ["perturb"], **field})
+    assert main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_samples_override_exits_2(tmp_path):
+    config = write_config(tmp_path, PAPER_CONFIG)
+    assert main(["perturb", "--config", config, "--samples", "-3"]) == 2
+
+
 def test_refine_subcommand_writes_csv(tmp_path):
     config = write_config(
         tmp_path,

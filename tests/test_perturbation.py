@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
-from conftest import random_family
+from conftest import complex_randn, random_family
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckgframes.errors import InadmissibleParams, InvalidDelta, NotAFrame
-from ckgframes.frames import scale_family
+from ckgframes.errors import DimensionMismatch, InadmissibleParams, InvalidDelta, NotAFrame
+from ckgframes.frames import OperatorFamily, optimal_bounds, scale_family
+from ckgframes.measure import Atom, DiscreteMeasureSpace
 from ckgframes.perturbation import (
+    SLACK_ROUNDOFF,
     PerturbationParams,
+    _condition_slack,
+    _sample_pairs,
     predicted_bounds,
     project_out_range,
     sample_condition,
@@ -189,3 +195,90 @@ def test_verify_perturbation_preconditions():
         verify_perturbation(
             broken, fam, k_op, PerturbationParams(0, 0, 0), n_samples=8, seed=1
         )
+
+
+def _family_on(space, n, rng):
+    ops = [complex_randn(rng, d, n) for d in space.fiber_dims]
+    return OperatorFamily(space=space, ops=ops, ambient_dim=n)
+
+
+def _gram_reference_slack(lam, gam, k, params, fs, gs):
+    """Per-atom Gram form of the condition, as in its definition."""
+    lhs = np.zeros(fs.shape[1])
+    lam_term = np.zeros(fs.shape[1])
+    gam_term = np.zeros(fs.shape[1])
+    for atom, lop, gop in zip(lam.space.atoms, lam.ops, gam.ops):
+        lam_gram = lop.conj().T @ lop
+        gam_gram = gop.conj().T @ gop
+        for s in range(fs.shape[1]):
+            f, g = fs[:, s], gs[:, s]
+            lhs[s] += atom.weight * abs(np.vdot(g, (lam_gram - gam_gram) @ f))
+            lam_term[s] += atom.weight * abs(np.vdot(g, lam_gram @ f))
+            gam_term[s] += atom.weight * abs(np.vdot(g, gam_gram @ f))
+    energy = np.linalg.norm(k.conj().T @ fs, axis=0) ** 2
+    rhs = params.lambda1 * lam_term + params.lambda2 * gam_term + params.gamma * energy
+    return lhs - rhs, lhs + rhs
+
+
+@pytest.mark.parametrize("fiber_dims", [(2, 1, 0, 3, 1, 2), (1, 1, 1, 1, 1)])
+def test_condition_slack_matches_per_atom_gram_reference(fiber_dims):
+    rng = np.random.default_rng(29)
+    n = 4
+    space = DiscreteMeasureSpace(
+        Atom(atom_id=f"a{j}", weight=float(w), fiber_dim=d)
+        for j, (w, d) in enumerate(zip(rng.uniform(0.2, 3.0, len(fiber_dims)), fiber_dims))
+    )
+    lam = _family_on(space, n, rng)
+    gam = _family_on(space, n, rng)
+    k = complex_randn(rng, n, n - 1)
+    params = PerturbationParams(0.3, 0.2, 0.7)
+    fs, gs = _sample_pairs(n, 12, seed=3)
+
+    got = _condition_slack(
+        np.vstack(lam.ops), np.vstack(gam.ops), space, k, params, fs, gs
+    )
+    want, scale = _gram_reference_slack(lam, gam, k, params, fs, gs)
+    # relative to the size of the compared terms: the slack itself may cancel
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+
+def test_sample_condition_rejects_bad_inputs():
+    fam, k_op = build_paper_example(2)
+    params = PerturbationParams(0, 0, 0)
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_condition(fam, fam, k_op, params, -3, seed=1)
+    with pytest.raises(DimensionMismatch, match="reference operator"):
+        sample_condition(fam, fam, np.eye(3), params, 4, seed=1)
+    with pytest.raises(DimensionMismatch, match="reference operator"):
+        project_out_range(fam, np.eye(3))
+    other, _ = build_paper_example(3)
+    with pytest.raises(DimensionMismatch):
+        sample_condition(fam, other, k_op, params, 4, seed=1)
+    # zero samples still checks the eigenvector pairs
+    assert sample_condition(fam, fam, k_op, params, 0, seed=1) <= 0.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    family_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    delta=st.floats(0.0, 0.9),
+    n_samples=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_scalar_shrink_property(family_seed, n, delta, n_samples, seed):
+    fam = random_family(np.random.default_rng(family_seed), n)
+    k = np.eye(n)
+    params = scalar_perturbation_params(delta)
+    shrunk = scale_family(fam, 1.0 - delta)
+
+    slack = sample_condition(fam, shrunk, k, params, n_samples, seed)
+    upper = optimal_bounds(fam, k).upper
+    assert slack <= SLACK_ROUNDOFF * max(1.0, upper)
+    assert sample_condition(fam, shrunk, k, params, n_samples, seed) == slack
+
+    # f- and g-streams of neighbouring seeds share no sample (up to phase)
+    streams = [*_sample_pairs(n, n_samples, seed), *_sample_pairs(n, n_samples, seed + 1)]
+    for i, a in enumerate(streams):
+        for b in streams[i + 1 :]:
+            assert np.max(np.abs(a.conj().T @ b)) < 1.0 - 1e-9

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 from conftest import complex_randn
 
+from ckgframes import duality, scenarios
 from ckgframes.errors import InvalidConfig, ParseError
-from ckgframes.frames import FrameBounds, analysis, frame_operator, optimal_bounds, verify_frame
+from ckgframes.frames import (
+    FrameBounds,
+    analysis,
+    frame_operator,
+    optimal_bounds,
+    scale_family,
+    verify_frame,
+)
 from ckgframes.linalg import operator_norm
 from ckgframes.literals import (
     family_from_literal,
@@ -146,6 +154,65 @@ def test_parse_config_validation():
     cfg = parse_config({"scenario": {"kind": "paper_example", "m": 2}})
     assert cfg.requests == ("bounds",)
     assert cfg.seed == 0 and cfg.samples == 64
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"seed": "abc"},
+        {"seed": "5"},
+        {"seed": -1},
+        {"seed": 3.7},
+        {"samples": -3},
+        {"samples": [4]},
+        {"samples": True},
+        {"claimed": ["x", 1]},
+        {"claimed": [None, 1]},
+        {"tolerances": {"psd_slack": [1e-10]}},
+        {"refine": {"values": ["abc"]}},
+        {"refine": {"values": [9.5]}},
+        {"refine": {"values": 9}},
+    ],
+)
+def test_parse_config_rejects_bad_values(field):
+    with pytest.raises(InvalidConfig):
+        parse_config({"scenario": {"kind": "paper_example", "m": 2}, **field})
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(
+        {"scenario": {"kind": "paper_example", "m": 2}, "seed": 3.0, "samples": 8.0,
+         "refine": {"values": [9.0, 18]}}
+    )
+    assert (cfg.seed, cfg.samples, cfg.refine_values) == (3, 8, (9, 18))
+    assert all(type(v) is int for v in (cfg.seed, cfg.samples, *cfg.refine_values))
+
+
+def test_theta_needs_a_tested_vector():
+    base = {"scenario": {"kind": "paper_example", "m": 2}, "requests": ["theta"], "seed": 4}
+    report = run_config({**base, "samples": 8})
+    assert report["results"]["theta"]["samples"] > 0
+    assert report["results"]["theta"]["passed"]
+
+    vacuous = run_config({**base, "samples": 0})
+    assert vacuous["results"]["theta"]["samples"] == 0
+    assert not vacuous["results"]["theta"]["passed"]
+    assert not vacuous["success"]
+
+
+def test_theta_pass_threshold_is_residual_tol(monkeypatch):
+    # a theta family off by the factor 1 + 1e-6 reconstructs with relative
+    # residual 1e-6: rejected at the default 1e-9, accepted at 1e-5
+    def skewed_theta(pair, tol):
+        return scale_family(duality.theta_dual(pair, tol), 1.0 + 1e-6)
+
+    monkeypatch.setattr(scenarios, "theta_dual", skewed_theta)
+    base = {"scenario": {"kind": "paper_example", "m": 2}, "requests": ["theta"], "samples": 8}
+    default = run_config(base)["results"]["theta"]
+    assert default["max_relative_residual"] == pytest.approx(1e-6, rel=1e-3)
+    assert not default["passed"]
+    loose = run_config({**base, "tolerances": {"residual_tol": 1e-5}})["results"]["theta"]
+    assert loose["passed"]
 
 
 def test_load_config_errors(tmp_path):
