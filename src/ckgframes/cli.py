@@ -22,9 +22,7 @@ import json
 import sys
 
 from .errors import InvalidConfig, ParseError
-from .scenarios import ScenarioConfig, load_config, parse_config, run_config
-
-SINGLE_OPS = ("bounds", "verify", "dual", "theta", "perturb", "refine")
+from .scenarios import REQUEST_KINDS, ScenarioConfig, load_config, parse_config, run_config
 
 PAPER_EXAMPLE_DEFAULT = {
     "scenario": {"kind": "paper_example", "m": 8, "atoms_per_cell": 1},
@@ -55,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         "operator families over finite measure spaces.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in SINGLE_OPS:
+    for name in REQUEST_KINDS:
         sub = subparsers.add_parser(name, help=f"run the {name} operation")
         _add_common_flags(sub, config_required=True)
     sub = subparsers.add_parser(

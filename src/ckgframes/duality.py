@@ -10,14 +10,16 @@ and the canonical dual when the frame operator is invertible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDual, DimensionMismatch, InvalidPair, NotAFrame
+from .errors import DegenerateDual, InvalidPair, NotAFrame
 from .frames import (
     OperatorFamily,
+    _check_reference,
+    _row_weights,
+    _split_rows,
     check_synthesis_range,
     frame_operator,
     synthesis_matrix,
@@ -25,7 +27,6 @@ from .frames import (
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
-    as_matrix,
     loewner_gap,
     operator_norm,
     pseudo_inverse,
@@ -53,28 +54,6 @@ class DualPair:
     residual: float
 
 
-def _square_reference(fam: OperatorFamily, k) -> np.ndarray:
-    k = as_matrix(k)
-    n = fam.ambient_dim
-    if k.shape != (n, n):
-        raise DimensionMismatch(
-            f"reference operator must be {n}x{n} to act on the ambient space, "
-            f"got {k.shape}"
-        )
-    return k
-
-
-def _unpack_rows(packed: np.ndarray, fam: OperatorFamily) -> tuple[np.ndarray, ...]:
-    """Undo the sqrt-weight folding of the packed coefficient coordinates."""
-    ops = []
-    offset = 0
-    for atom in fam.space.atoms:
-        rows = packed[offset : offset + atom.fiber_dim]
-        ops.append(rows / math.sqrt(atom.weight))
-        offset += atom.fiber_dim
-    return tuple(ops)
-
-
 def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -> DualPair:
     """Minimal-norm Bessel factor ``Gamma`` with ``T_Lam o analysis_Gamma = K``.
 
@@ -83,7 +62,7 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
     solution ``pinv(T) K`` has minimal norm, which makes the derived lower
     bound ``1/B_Gamma`` optimal.
     """
-    k = _square_reference(lam, k)
+    k = _check_reference(lam, k, square=True)
     if not check_synthesis_range(lam, k, tol):
         raise NotAFrame(
             "range(K) is not contained in the range of the synthesis operator; "
@@ -100,7 +79,7 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
         )
     dual = OperatorFamily(
         space=lam.space,
-        ops=_unpack_rows(packed, lam),
+        ops=_split_rows(packed / np.sqrt(_row_weights(lam.space))[:, None], lam.space),
         ambient_dim=lam.ambient_dim,
     )
     return DualPair(
@@ -177,7 +156,7 @@ def pullback_by(fam: OperatorFamily, t) -> OperatorFamily:
     Maps a frame for K to a frame for ``T K`` with upper bound inflated by
     ``||T*||^2``.
     """
-    t = _square_reference(fam, t)
+    t = _check_reference(fam, t, square=True)
     t_adj = t.conj().T
     return OperatorFamily(
         space=fam.space,
@@ -195,7 +174,7 @@ def k_power_family(
     """Iterated pullback ``ops[j] @ (K*)^N``, a frame for ``K^(N+1)``."""
     if n_power < 1:
         raise ValueError(f"power must be >= 1, got {n_power}")
-    k = _square_reference(fam, k)
+    k = _check_reference(fam, k, square=True)
     if not check_synthesis_range(fam, k, tol):
         raise NotAFrame("family is not a frame for the reference operator")
     result = fam

@@ -42,8 +42,6 @@ __all__ = [
     "check_synthesis_range",
     "scale_family",
     "refine_family",
-    "pack_blocks",
-    "unpack_blocks",
 ]
 
 
@@ -140,56 +138,55 @@ def _stacked_frame_operator(rows: np.ndarray, row_weights: np.ndarray) -> np.nda
     return (s + s.conj().T) / 2.0
 
 
+def _rows(fam: OperatorFamily) -> np.ndarray:
+    """All operators of the family stacked in atom order: (total fiber dim, n)."""
+    if not fam.ops:
+        return np.zeros((0, fam.ambient_dim), dtype=np.complex128)
+    return np.vstack(fam.ops)
+
+
+def _row_weights(space: DiscreteMeasureSpace) -> np.ndarray:
+    """Each atom's weight repeated over its fiber rows, matching :func:`_rows`."""
+    return np.repeat(space.weights, space.fiber_dims)
+
+
+def _split_rows(rows: np.ndarray, space: DiscreteMeasureSpace) -> tuple[np.ndarray, ...]:
+    """Inverse of :func:`_rows`: one block of rows per atom of ``space``."""
+    if not space.atoms:
+        return ()
+    return tuple(np.split(rows, np.cumsum(space.fiber_dims)[:-1]))
+
+
 def synthesis_matrix(fam: OperatorFamily) -> np.ndarray:
     """Matrix of the synthesis operator on weight-packed coefficients.
 
     Block column k is ``sqrt(weight_k) * ops[k]*``, so that
     ``T @ T* == frame_operator(fam)`` as a matrix identity.
     """
-    n = fam.ambient_dim
-    blocks = [
-        math.sqrt(atom.weight) * op.conj().T
-        for atom, op in zip(fam.space.atoms, fam.ops)
-    ]
-    if not blocks:
-        return np.zeros((n, 0), dtype=np.complex128)
-    return np.hstack(blocks)
+    # scaled in place: at most two n x N arrays are alive at once
+    t = np.conjugate(_rows(fam).T, order="C")
+    t *= np.sqrt(_row_weights(fam.space))
+    return t
 
 
-def pack_blocks(coeffs: BlockVector, space: DiscreteMeasureSpace) -> np.ndarray:
-    """Isometry onto plain Euclidean coordinates: block k scaled by sqrt(weight_k)."""
-    _require_conforming(coeffs, space, "pack_blocks")
-    parts = [
-        math.sqrt(atom.weight) * block
-        for atom, block in zip(space.atoms, coeffs.blocks)
-    ]
-    if not parts:
-        return np.zeros(0, dtype=np.complex128)
-    return np.concatenate(parts)
-
-
-def unpack_blocks(packed: np.ndarray, space: DiscreteMeasureSpace) -> BlockVector:
-    """Inverse of :func:`pack_blocks`."""
-    packed = np.asarray(packed, dtype=np.complex128).reshape(-1)
-    if packed.size != space.total_fiber_dim:
-        raise DimensionMismatch(
-            f"packed length {packed.size}, expected {space.total_fiber_dim}"
-        )
-    blocks = []
-    offset = 0
-    for atom in space.atoms:
-        blocks.append(packed[offset : offset + atom.fiber_dim] / math.sqrt(atom.weight))
-        offset += atom.fiber_dim
-    return BlockVector(tuple(blocks))
-
-
-def _check_reference(fam: OperatorFamily, k) -> np.ndarray:
+def _check_reference(fam: OperatorFamily, k, square: bool = False) -> np.ndarray:
+    """``k`` as a matrix with one row per ambient coordinate (and, if
+    ``square``, one column too, so that it acts on the ambient space)."""
     k = as_matrix(k)
-    if k.shape[0] != fam.ambient_dim:
-        raise DimensionMismatch(
-            f"reference operator has {k.shape[0]} rows, ambient dim is {fam.ambient_dim}"
-        )
+    n = fam.ambient_dim
+    if k.shape[0] != n or (square and k.shape[1] != n):
+        want = f"({n}, {n})" if square else f"({n}, any)"
+        raise DimensionMismatch(f"reference operator must have shape {want}, got {k.shape}")
     return k
+
+
+def _lower_cap(upper: float, kk: np.ndarray) -> float:
+    """Largest lower constant consistent with ``upper``: ``A ||K||^2 <= B``.
+
+    ``kk`` is ``K K*``, whose largest eigenvalue is ``||K||^2``.
+    """
+    k_norm_sq = float(np.linalg.eigvalsh(kk)[-1])
+    return upper / k_norm_sq if k_norm_sq > 0.0 else float("inf")
 
 
 def optimal_bounds(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -> FrameBounds:
@@ -197,13 +194,18 @@ def optimal_bounds(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -
 
     The upper constant is ``lambda_max(S)``; the lower is the Loewner gap of
     ``S`` against ``K K*`` (``+inf`` when K is numerically zero, 0 when the
-    family misses part of the range of K).
+    family misses part of the range of K).  A finite lower constant is
+    capped at ``upper / ||K||^2``, the most that ``A ||K||^2 <= B`` allows,
+    so that roundoff cannot produce a pair :func:`verify_frame` rejects.
     """
     k = _check_reference(fam, k)
     s = frame_operator(fam)
     upper = float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0
     upper = max(upper, 0.0)
-    lower = loewner_gap(s, k @ k.conj().T, tol)
+    kk = k @ k.conj().T
+    lower = loewner_gap(s, kk, tol)
+    if not math.isinf(lower):
+        lower = min(lower, _lower_cap(upper, kk))
     return FrameBounds(lower=lower, upper=upper)
 
 
@@ -225,13 +227,19 @@ def verify_frame(
 
     The flags are conjunctive by construction, so the chain
     parseval => tight => frame => bessel always holds in the report.
+    A claim whose upper constant is infinite raises ``ValueError``, and so
+    does, when K is given, a lower constant outside
+    ``(0, upper / ||K||^2]``.
     """
     if not claimed.upper < float("inf"):
         raise ValueError("claimed upper bound must be finite")
-    if k is not None and not claimed.lower > 0:
-        raise ValueError("claimed lower bound must be positive")
-    if k is not None and claimed.lower > claimed.upper:
-        raise ValueError("claimed lower bound exceeds claimed upper bound")
+    if k is not None:
+        k = _check_reference(fam, k)
+        kk = k @ k.conj().T
+        if not 0 < claimed.lower < float("inf"):
+            raise ValueError("claimed lower bound must be positive and finite")
+        if claimed.lower > _lower_cap(claimed.upper, kk):
+            raise ValueError("claimed lower bound exceeds claimed upper bound / ||K||^2")
 
     diagnostics: list[str] = []
     s = frame_operator(fam)
@@ -251,8 +259,6 @@ def verify_frame(
             diagnostics=tuple(diagnostics),
         )
 
-    k = _check_reference(fam, k)
-    kk = k @ k.conj().T
     frame = bessel and is_psd(s - claimed.lower * kk, tol)
 
     gap = loewner_gap(s, kk, tol)

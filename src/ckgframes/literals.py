@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 from .frames import FrameBounds, FrameReport, OperatorFamily
 from .linalg import as_matrix
-from .measure import Atom, DiscreteMeasureSpace
+from .measure import Atom, DiscreteMeasureSpace, validate
 
 __all__ = [
     "matrix_to_literal",
@@ -26,7 +26,6 @@ __all__ = [
     "family_to_literal",
     "family_from_literal",
     "bound_to_literal",
-    "bound_from_literal",
     "bounds_to_literal",
     "report_to_literal",
 ]
@@ -41,7 +40,6 @@ def matrix_from_literal(literal) -> np.ndarray:
     if not isinstance(literal, list) or not literal:
         raise InvalidConfig("matrix literal must be a non-empty list of rows")
     width = None
-    rows = []
     for row in literal:
         if not isinstance(row, list):
             raise InvalidConfig("matrix literal rows must be lists")
@@ -49,13 +47,13 @@ def matrix_from_literal(literal) -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise InvalidConfig("matrix literal rows have unequal lengths")
-        entries = []
         for entry in row:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise InvalidConfig("matrix entries must be [re, im] pairs")
-            entries.append(complex(float(entry[0]), float(entry[1])))
-        rows.append(entries)
-    return as_matrix(rows)
+    try:
+        return as_matrix([[complex(float(re), float(im)) for re, im in row] for row in literal])
+    except (TypeError, ValueError) as bad:
+        raise InvalidConfig(f"matrix literal entries must be finite numbers: {bad}") from None
 
 
 def space_to_literal(space: DiscreteMeasureSpace) -> list[dict]:
@@ -90,6 +88,8 @@ def space_from_literal(literal) -> DiscreteMeasureSpace:
             )
         except KeyError as missing:
             raise InvalidConfig(f"atom object missing key {missing}") from None
+        except (TypeError, ValueError) as bad:
+            raise InvalidConfig(f"malformed atom object {item!r}: {bad}") from None
     return DiscreteMeasureSpace(atoms)
 
 
@@ -108,19 +108,21 @@ def family_from_literal(literal) -> OperatorFamily:
         if key not in literal:
             raise InvalidConfig(f"family literal missing key {key!r}")
     space = space_from_literal(literal["space"])
+    problems = validate(space)
+    if problems:
+        raise InvalidConfig(f"family literal: {problems[0]}")
+    if not isinstance(literal["ops"], list):
+        raise InvalidConfig('family literal "ops" must be a list of matrix literals')
     ops = [matrix_from_literal(op) for op in literal["ops"]]
-    return OperatorFamily(space=space, ops=ops, ambient_dim=int(literal["ambient_dim"]))
+    try:
+        return OperatorFamily(space=space, ops=ops, ambient_dim=int(literal["ambient_dim"]))
+    except (TypeError, ValueError, DimensionMismatch) as bad:
+        raise InvalidConfig(f"malformed family literal: {bad}") from None
 
 
 def bound_to_literal(value: float):
     if math.isinf(value):
         return "inf"
-    return float(value)
-
-
-def bound_from_literal(value) -> float:
-    if value == "inf":
-        return float("inf")
     return float(value)
 
 

@@ -61,9 +61,6 @@ class DiscreteMeasureSpace:
     def total_fiber_dim(self) -> int:
         return sum(self.fiber_dims)
 
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
-
     def partition_measure(self, label: str) -> float:
         """Measure of the cell with the given tag (sum of its atoms' weights)."""
         return float(sum(a.weight for a in self.atoms if a.partition == label))

@@ -29,6 +29,8 @@ from .frames import (
     FrameBounds,
     OperatorFamily,
     _check_reference,
+    _row_weights,
+    _rows,
     _stacked_frame_operator,
     check_synthesis_range,
     optimal_bounds,
@@ -144,13 +146,6 @@ def _sample_pairs(dim: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.n
     return pair[0], pair[1]
 
 
-def _stacked_rows(fam: OperatorFamily) -> np.ndarray:
-    """All operators of the family stacked in atom order: (total fiber dim, n)."""
-    if not fam.ops:
-        return np.zeros((0, fam.ambient_dim), dtype=np.complex128)
-    return np.vstack(fam.ops)
-
-
 def _adversarial_vectors(
     lam_rows: np.ndarray, gam_rows: np.ndarray, row_weights: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
@@ -227,9 +222,9 @@ def sample_condition(
     k = _check_reference(lam, k)
     fs, gs = _sample_pairs(lam.ambient_dim, n_samples, seed)
 
-    lam_rows = _stacked_rows(lam)
-    gam_rows = _stacked_rows(gam)
-    row_weights = np.repeat(lam.space.weights, lam.space.fiber_dims)
+    lam_rows = _rows(lam)
+    gam_rows = _rows(gam)
+    row_weights = _row_weights(lam.space)
     adversarial = _adversarial_vectors(lam_rows, gam_rows, row_weights, k)
     fs = np.hstack([fs, adversarial])
     gs = np.hstack([gs, adversarial])

@@ -35,14 +35,16 @@ import numpy as np
 
 from ._version import __version__
 from .duality import bessel_constant, douglas_gamma, lower_bound_from_dual, theta_dual
-from .errors import InvalidConfig, ParseError, ToolkitError
+from .errors import DimensionMismatch, InvalidConfig, ParseError, ToolkitError
 from .frames import (
     FrameBounds,
     OperatorFamily,
+    _check_reference,
     frame_operator,
     optimal_bounds,
     refine_family,
     scale_family,
+    synthesis_matrix,
     verify_frame,
 )
 from .linalg import DEFAULT_TOL, TolerancePolicy, operator_norm, pseudo_inverse
@@ -139,14 +141,11 @@ def build_continuous_fourier(n: int, n_atoms: int) -> tuple[OperatorFamily, np.n
     if n_atoms < 1:
         raise InvalidConfig(f"n_atoms must be >= 1, got {n_atoms}")
     weight = 2.0 * math.pi / n_atoms
-    freqs = np.arange(n)
-    atoms = []
-    ops = []
-    for j in range(n_atoms):
-        theta = 2.0 * math.pi * (j + 0.5) / n_atoms
-        wave = np.exp(1j * freqs * theta) / math.sqrt(2.0 * math.pi)
-        atoms.append(Atom(atom_id=f"theta{j}", weight=weight, fiber_dim=1))
-        ops.append(wave.conj()[np.newaxis, :])
+    thetas = 2.0 * math.pi * (np.arange(n_atoms) + 0.5) / n_atoms
+    waves = np.exp(1j * np.outer(thetas, np.arange(n))) / math.sqrt(2.0 * math.pi)
+    atoms = [Atom(atom_id=f"theta{j}", weight=weight, fiber_dim=1) for j in range(n_atoms)]
+    # one (1, n) row view per atom
+    ops = list(waves.conj()[:, np.newaxis, :])
     fam = OperatorFamily(space=DiscreteMeasureSpace(atoms), ops=ops, ambient_dim=n)
     return fam, np.eye(n, dtype=np.complex128)
 
@@ -218,10 +217,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         pair = raw["claimed"]
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InvalidConfig('"claimed" must be a [lower, upper] pair')
-        try:
-            claimed = FrameBounds(lower=float(pair[0]), upper=float(pair[1]))
-        except (TypeError, ValueError):
-            raise InvalidConfig(f'"claimed" entries must be numbers, got {pair!r}') from None
+        what = '"claimed" entries'
+        claimed = FrameBounds(lower=_real(pair[0], what), upper=_real(pair[1], what))
 
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
@@ -248,6 +245,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
     perturb = raw.get("perturb", {"delta": 0.1})
     if not isinstance(perturb, dict):
         raise InvalidConfig('"perturb" must be an object')
+    for key in ("delta", "lambda1", "lambda2", "gamma", "scale"):
+        if key in perturb:
+            _real(perturb[key], f'"perturb" {key}')
 
     return ScenarioConfig(
         raw=raw,
@@ -262,6 +262,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
         seed=_count(raw, "seed", 0),
         samples=_count(raw, "samples", 64),
     )
+
+
+def _real(value, what: str) -> float:
+    """A number (or numeric string) as float; anything else raises InvalidConfig."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{what} must be a number, got {value!r}") from None
 
 
 def _integer(value, what: str) -> int:
@@ -320,28 +328,20 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[OperatorFamily, np.ndarray]:
                 raise InvalidConfig('explicit scenario requires a "family" literal')
             fam = family_from_literal(sc["family"])
         if "K" in sc:
-            k_op = matrix_from_literal(sc["K"])
+            k_op = _check_reference(fam, matrix_from_literal(sc["K"]))
         else:
             k_op = np.eye(fam.ambient_dim, dtype=np.complex128)
         return fam, k_op
-    except (TypeError, ValueError) as bad:
+    except (TypeError, ValueError, DimensionMismatch) as bad:
         raise InvalidConfig(f"malformed scenario parameters: {bad}") from None
-
-
-def _mixed_gram(left: OperatorFamily, right: OperatorFamily) -> np.ndarray:
-    """``sum_k weight_k * left_k* right_k`` (reconstruction operator)."""
-    n = left.ambient_dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    for atom, lop, rop in zip(left.space.atoms, left.ops, right.ops):
-        out += atom.weight * (lop.conj().T @ rop)
-    return out
 
 
 def _run_theta(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> dict:
     pair = douglas_gamma(fam, k_op, cfg.tol)
     theta = theta_dual(pair, cfg.tol)
-    forward = _mixed_gram(fam, theta)   # synthesis(fam, analysis(theta, .))
-    backward = _mixed_gram(theta, fam)
+    # synthesis(fam, analysis(theta, .)) and the reverse order
+    forward = synthesis_matrix(fam) @ synthesis_matrix(theta).conj().T
+    backward = forward.conj().T
     projector = k_op @ pseudo_inverse(k_op, cfg.tol)
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -401,55 +401,43 @@ def _run_perturb(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> 
 
 
 def _run_refine(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> list[dict]:
-    rows = []
+    sc = cfg.scenario
+    # the built-in kinds reproduce K K* exactly (Fourier: K = I)
+    target = k_op @ k_op.conj().T
     if cfg.kind == "continuous_fourier":
-        n = int(cfg.scenario.get("dim", 4))
-        for value in cfg.refine_values:
-            refined, _ = build_continuous_fourier(n, value)
-            s = frame_operator(refined)
-            bounds = optimal_bounds(refined, np.eye(n), cfg.tol)
-            rows.append(
-                {
-                    "param": "n_atoms",
-                    "value": value,
-                    "frame_operator_error": operator_norm(s - np.eye(n)),
-                    "lower": bound_to_literal(bounds.lower),
-                    "upper": bound_to_literal(bounds.upper),
-                }
-            )
+        param = "n_atoms"
+
+        def refine(value):
+            return build_continuous_fourier(fam.ambient_dim, value)[0]
+
     elif cfg.kind == "paper_example":
-        m = int(cfg.scenario.get("m", 8))
-        measures = cfg.scenario.get("partition_measures")
-        target = k_op @ k_op.conj().T
-        for value in cfg.refine_values:
-            refined, _ = build_paper_example(m, measures, atoms_per_cell=value)
-            s = frame_operator(refined)
-            bounds = optimal_bounds(refined, k_op, cfg.tol)
-            rows.append(
-                {
-                    "param": "atoms_per_cell",
-                    "value": value,
-                    "frame_operator_error": operator_norm(s - target),
-                    "lower": bound_to_literal(bounds.lower),
-                    "upper": bound_to_literal(bounds.upper),
-                }
-            )
+        param = "atoms_per_cell"
+
+        def refine(value):
+            return build_paper_example(
+                int(sc.get("m", 8)), sc.get("partition_measures"), atoms_per_cell=value
+            )[0]
+
     else:
         # Atom-splitting refinement: the frame operator must not move at all.
-        reference = frame_operator(fam)
-        for value in cfg.refine_values:
-            refined = refine_family(fam, value)
-            s = frame_operator(refined)
-            bounds = optimal_bounds(refined, k_op, cfg.tol)
-            rows.append(
-                {
-                    "param": "parts",
-                    "value": value,
-                    "frame_operator_error": operator_norm(s - reference),
-                    "lower": bound_to_literal(bounds.lower),
-                    "upper": bound_to_literal(bounds.upper),
-                }
-            )
+        param, target = "parts", frame_operator(fam)
+
+        def refine(value):
+            return refine_family(fam, value)
+
+    rows = []
+    for value in cfg.refine_values:
+        refined = refine(value)
+        bounds = optimal_bounds(refined, k_op, cfg.tol)
+        rows.append(
+            {
+                "param": param,
+                "value": value,
+                "frame_operator_error": operator_norm(frame_operator(refined) - target),
+                "lower": bound_to_literal(bounds.lower),
+                "upper": bound_to_literal(bounds.upper),
+            }
+        )
     return rows
 
 

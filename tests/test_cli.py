@@ -66,7 +66,30 @@ def test_input_error_exit_codes(tmp_path):
     assert main(["run", "--config", invalid]) == 2
 
 
-@pytest.mark.parametrize("field", [{"seed": "abc"}, {"claimed": ["x", 1]}, {"samples": -3}])
+def explicit_scenario(atoms, ops, ambient_dim=1, **extra):
+    space = [{"id": atom_id, "weight": weight, "fiber_dim": 1} for atom_id, weight in atoms]
+    family = {"ambient_dim": ambient_dim, "space": space, "ops": ops}
+    return {"scenario": {"kind": "explicit", "family": family, **extra}}
+
+
+ONE_BY_ONE = [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"seed": "abc"},
+        {"claimed": ["x", 1]},
+        {"samples": -3},
+        {"perturb": {"delta": None}},
+        # a 1x1 operator in a two-dimensional family
+        explicit_scenario([("a", 1.0)], [ONE_BY_ONE], ambient_dim=2),
+        explicit_scenario([("a", 1.0), ("a", 1.0)], [ONE_BY_ONE, ONE_BY_ONE]),
+        explicit_scenario([("a", -1.0)], [ONE_BY_ONE]),
+        # K must have one row per ambient coordinate
+        {"scenario": {"kind": "random", "dim": 2, "K": ONE_BY_ONE}},
+    ],
+)
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, field):
     config = write_config(tmp_path, {**PAPER_CONFIG, "requests": ["perturb"], **field})
     assert main(["run", "--config", config]) == 2

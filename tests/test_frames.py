@@ -223,6 +223,25 @@ def test_verify_frame_rejects_bad_claims():
         verify_frame(fam, np.eye(2), FrameBounds(1.0, np.inf))
     with pytest.raises(ValueError):
         verify_frame(fam, np.eye(2), FrameBounds(2.0, 1.0))
+    with pytest.raises(ValueError):
+        verify_frame(fam, np.zeros((2, 2)), FrameBounds(np.inf, 1.0))
+
+
+def test_optimal_bounds_round_trip_edge_cases():
+    # roundoff used to put the lower constant one ulp above the upper one
+    twins = rows_family([[1.0], [1.0]])
+    b = optimal_bounds(twins, np.eye(1))
+    assert b.lower <= b.upper == 2.0
+    assert verify_frame(twins, np.eye(1), b).is_ckg_frame
+
+    # ||K|| < 1 legitimately gives A > B: the constraint is A ||K||^2 <= B
+    fam = single_atom_family(np.eye(2))
+    half = 0.5 * np.eye(2)
+    b = optimal_bounds(fam, half)
+    assert (b.lower, b.upper) == (4.0, 1.0)
+    assert verify_frame(fam, half, b).is_tight
+    with pytest.raises(ValueError):
+        verify_frame(fam, half, FrameBounds(4.5, 1.0))
 
 
 def test_check_synthesis_range_examples():

@@ -1,6 +1,7 @@
 """Scenario builders, config parsing, and the config-driven runner."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ def test_continuous_fourier_exactness():
 
     with pytest.raises(InvalidConfig):
         build_continuous_fourier(4, 0)
+
+
+@pytest.mark.parametrize("n, n_atoms", [(1, 5), (4, 7), (6, 64), (9, 4)])
+def test_continuous_fourier_matches_per_atom_formula(n, n_atoms):
+    fam, _ = build_continuous_fourier(n, n_atoms)
+    freqs = np.arange(n)
+    assert len(fam.ops) == n_atoms
+    for j, op in enumerate(fam.ops):
+        theta = 2.0 * math.pi * (j + 0.5) / n_atoms
+        wave = np.exp(1j * freqs * theta) / math.sqrt(2.0 * math.pi)
+        expected = wave.conj()[np.newaxis, :]
+        assert op.shape == expected.shape
+        assert op.tobytes() == expected.tobytes()  # bit for bit
+        assert fam.space.atoms[j].weight == 2.0 * math.pi / n_atoms
 
 
 def test_random_frame_determinism_and_rank():
