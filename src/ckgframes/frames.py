@@ -20,11 +20,15 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
+    HermitianEigen,
     TolerancePolicy,
+    _abs_max,
+    _hermitian_norm,
+    _loewner_gap,
+    _spectrum,
     as_matrix,
+    hermitian_eigen,
     is_psd,
-    loewner_gap,
-    operator_norm,
     range_inclusion,
 )
 from .measure import BlockVector, DiscreteMeasureSpace, _require_conforming
@@ -180,12 +184,22 @@ def _check_reference(fam: OperatorFamily, k, square: bool = False) -> np.ndarray
     return k
 
 
-def _lower_cap(upper: float, kk: np.ndarray) -> float:
+def _reference_gram(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``K K*``, made exactly Hermitian, and its eigenvalues ascending.
+
+    The largest eigenvalue is ``||K||^2``; every bound rule reads it from here.
+    """
+    kk = k @ k.conj().T
+    kk = (kk + kk.conj().T) / 2.0
+    return kk, np.linalg.eigvalsh(kk)
+
+
+def _lower_cap(upper: float, kk_w: np.ndarray) -> float:
     """Largest lower constant consistent with ``upper``: ``A ||K||^2 <= B``.
 
-    ``kk`` is ``K K*``, whose largest eigenvalue is ``||K||^2``.
+    ``kk_w`` are the eigenvalues of ``K K*`` from :func:`_reference_gram`.
     """
-    k_norm_sq = float(np.linalg.eigvalsh(kk)[-1])
+    k_norm_sq = float(kk_w[-1])
     return upper / k_norm_sq if k_norm_sq > 0.0 else float("inf")
 
 
@@ -197,15 +211,15 @@ def optimal_bounds(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -
     family misses part of the range of K).  A finite lower constant is
     capped at ``upper / ||K||^2``, the most that ``A ||K||^2 <= B`` allows,
     so that roundoff cannot produce a pair :func:`verify_frame` rejects.
+    Both constants come from one eigendecomposition of ``S``.
     """
     k = _check_reference(fam, k)
-    s = frame_operator(fam)
-    upper = float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0
-    upper = max(upper, 0.0)
-    kk = k @ k.conj().T
-    lower = loewner_gap(s, kk, tol)
+    s = hermitian_eigen(frame_operator(fam), tol)
+    upper = max(float(s.eigenvalues[-1]), 0.0)
+    kk, kk_w = _reference_gram(k)
+    lower = _loewner_gap(s, kk, kk_w, tol)
     if not math.isinf(lower):
-        lower = min(lower, _lower_cap(upper, kk))
+        lower = min(lower, _lower_cap(upper, kk_w))
     return FrameBounds(lower=lower, upper=upper)
 
 
@@ -235,15 +249,16 @@ def verify_frame(
         raise ValueError("claimed upper bound must be finite")
     if k is not None:
         k = _check_reference(fam, k)
-        kk = k @ k.conj().T
+        kk, kk_w = _reference_gram(k)
         if not 0 < claimed.lower < float("inf"):
             raise ValueError("claimed lower bound must be positive and finite")
-        if claimed.lower > _lower_cap(claimed.upper, kk):
+        if claimed.lower > _lower_cap(claimed.upper, kk_w):
             raise ValueError("claimed lower bound exceeds claimed upper bound / ||K||^2")
 
     diagnostics: list[str] = []
-    s = frame_operator(fam)
-    top = float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0
+    # one decomposition of S serves every test below
+    s, w, v = _spectrum(frame_operator(fam), tol, "frame operator", vectors=k is not None)
+    top = float(w[-1])
     slack = tol.psd_slack * max(1.0, claimed.upper)
     bessel = top <= claimed.upper + slack
     diagnostics.append(f"optimal Bessel constant lambda_max(S) = {top!r}")
@@ -261,7 +276,7 @@ def verify_frame(
 
     frame = bessel and is_psd(s - claimed.lower * kk, tol)
 
-    gap = loewner_gap(s, kk, tol)
+    gap = _loewner_gap(HermitianEigen(eigenvalues=w, eigenvectors=v), kk, kk_w, tol)
     if math.isinf(gap):
         diagnostics.append(
             "reference operator is numerically zero: lower bound is vacuous (+inf)"
@@ -269,8 +284,8 @@ def verify_frame(
         tight = False
     else:
         diagnostics.append(f"optimal lower constant (Loewner gap) = {gap!r}")
-        saturation = operator_norm(s - gap * kk)
-        tight = frame and saturation <= tol.residual_tol * max(1.0, operator_norm(s))
+        saturation = _hermitian_norm(s - gap * kk)
+        tight = frame and saturation <= tol.residual_tol * max(1.0, _abs_max(w))
     parseval = tight and abs(gap - 1.0) <= tol.residual_tol
 
     return FrameReport(

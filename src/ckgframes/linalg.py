@@ -116,17 +116,71 @@ def _square(m, what: str) -> np.ndarray:
     return m
 
 
-def _symmetrize_or_raise(h, tol: TolerancePolicy, what: str) -> np.ndarray:
-    """Return (H + H*)/2, rejecting inputs that are not Hermitian to tolerance."""
-    h = _square(h, what)
+# Relative roundoff, per unit of dimension, of a computed eigenvalue or
+# Frobenius norm: the sufficient Hermitian test shrinks max|eig| by this much
+# times n, so that roundoff cannot turn a rejection into an acceptance.
+_EIG_ROUNDOFF = 8 * np.finfo(np.float64).eps
+
+
+def _require_hermitian(h: np.ndarray, w: np.ndarray, tol: TolerancePolicy, what: str) -> None:
+    """Raise :class:`NotHermitian` unless ``||H - H*|| <= residual_tol * ||H||``.
+
+    ``w`` are the eigenvalues of ``(H + H*)/2``.  Since ``||D||_2 <= ||D||_F``
+    for ``D = H - H*`` and ``||H|| >= max|w|`` (the numerical range of ``H``
+    contains the eigenvalues of its Hermitian part), the test passes without
+    an SVD when ``||D||_F <= residual_tol * (max|w| - ||D||_F / 2)``.  Only when
+    that sufficient bound is inconclusive are the two spectral norms taken.
+    """
+    d = h - h.conj().T
+    d_fro = float(np.linalg.norm(d))
+    top = _abs_max(w) * (1.0 - _EIG_ROUNDOFF * h.shape[0])
+    if d_fro <= tol.residual_tol * (top - d_fro / 2.0):
+        return
     hnorm = operator_norm(h)
-    deviation = operator_norm(h - h.conj().T)
+    deviation = operator_norm(d)
     if deviation > tol.residual_tol * hnorm:
         raise NotHermitian(
             f"{what} deviates from Hermitian by {deviation:.3e} "
             f"(allowed {tol.residual_tol * hnorm:.3e})"
         )
-    return (h + h.conj().T) / 2.0
+
+
+def _spectrum(h, tol: TolerancePolicy, what: str, vectors: bool = False):
+    """``(sym, w, v)``: the Hermitian part ``(H + H*)/2``, its eigenvalues
+    ascending and, if ``vectors``, its eigenvectors (else ``None``).
+
+    One eigendecomposition decides everything: an exactly Hermitian input
+    is its own Hermitian part and needs no further test; otherwise the same
+    eigenvalues feed :func:`_require_hermitian`.
+    """
+    h = _square(h, what)
+    h_adj = h.conj().T
+    exact = np.array_equal(h, h_adj)
+    sym = h if exact else (h + h_adj) / 2.0
+    if vectors:
+        w, v = np.linalg.eigh(sym)
+    else:
+        w, v = np.linalg.eigvalsh(sym), None
+    if not exact:
+        _require_hermitian(h, w, tol, what)
+    return sym, w, v
+
+
+def _abs_max(w: np.ndarray) -> float:
+    """Largest ``|eigenvalue|``: the spectral norm of a Hermitian matrix."""
+    return float(np.max(np.abs(w))) if w.size else 0.0
+
+
+def _psd(w: np.ndarray, tol: TolerancePolicy) -> bool:
+    """``lambda_min >= -psd_slack * max(1, ||H||)`` on ascending eigenvalues."""
+    if w.size == 0:
+        return True
+    return bool(w[0] >= -tol.psd_slack * max(1.0, _abs_max(w)))
+
+
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Spectral norm of a matrix that is Hermitian up to roundoff."""
+    return _abs_max(np.linalg.eigvalsh((h + h.conj().T) / 2.0))
 
 
 def hermitian_eigen(h, tol: TolerancePolicy = DEFAULT_TOL) -> HermitianEigen:
@@ -136,19 +190,13 @@ def hermitian_eigen(h, tol: TolerancePolicy = DEFAULT_TOL) -> HermitianEigen:
     that deviate from Hermitian beyond ``residual_tol * ||H||`` raise
     :class:`NotHermitian`.
     """
-    sym = _symmetrize_or_raise(h, tol, "hermitian_eigen input")
-    w, v = np.linalg.eigh(sym)
+    _, w, v = _spectrum(h, tol, "hermitian_eigen input", vectors=True)
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
 
 
 def is_psd(h, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """True iff ``lambda_min(H) >= -psd_slack * max(1, ||H||)``."""
-    sym = _symmetrize_or_raise(h, tol, "is_psd input")
-    if sym.size == 0:
-        return True
-    w = np.linalg.eigvalsh(sym)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] >= -tol.psd_slack * scale)
+    return _psd(_spectrum(h, tol, "is_psd input")[1], tol)
 
 
 def loewner_gap(s, m, tol: TolerancePolicy = DEFAULT_TOL) -> float:
@@ -168,26 +216,34 @@ def loewner_gap(s, m, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     NotHermitian, NotPsd
         If either input fails its cone membership test.
     """
-    s_sym = _symmetrize_or_raise(s, tol, "loewner_gap S")
-    m_sym = _symmetrize_or_raise(m, tol, "loewner_gap M")
-    if s_sym.shape != m_sym.shape:
-        raise DimensionMismatch(f"shape mismatch: S {s_sym.shape} vs M {m_sym.shape}")
-    if not is_psd(s_sym, tol):
+    _, d, v = _spectrum(s, tol, "loewner_gap S", vectors=True)
+    m_sym, m_w, _ = _spectrum(m, tol, "loewner_gap M")
+    return _loewner_gap(HermitianEigen(eigenvalues=d, eigenvectors=v), m_sym, m_w, tol)
+
+
+def _loewner_gap(
+    s: HermitianEigen, m_sym: np.ndarray, m_w: np.ndarray, tol: TolerancePolicy
+) -> float:
+    """:func:`loewner_gap` from the spectrum of ``S`` and the Hermitian ``M``
+    with its ascending eigenvalues ``m_w``, so that callers holding them
+    decompose nothing twice.  Norms are largest ``|eigenvalue|``."""
+    d, v = s.eigenvalues, s.eigenvectors
+    if v.shape != m_sym.shape:
+        raise DimensionMismatch(f"shape mismatch: S {v.shape} vs M {m_sym.shape}")
+    if not _psd(d, tol):
         raise NotPsd("loewner_gap: S is not positive semidefinite")
-    if not is_psd(m_sym, tol):
+    if not _psd(m_w, tol):
         raise NotPsd("loewner_gap: M is not positive semidefinite")
 
-    s_norm = operator_norm(s_sym)
-    m_norm = operator_norm(m_sym)
-    if m_norm <= tol.rel_rank_cutoff * max(1.0, s_norm):
+    m_norm = _abs_max(m_w)
+    if m_norm <= tol.rel_rank_cutoff * max(1.0, _abs_max(d)):
         return float("inf")
 
-    d, v = np.linalg.eigh(s_sym)
     keep = d > tol.rel_rank_cutoff * max(d[-1], 0.0)
     rank = int(np.count_nonzero(keep))
-    if rank < s_sym.shape[0]:
+    if rank < d.size:
         v0 = v[:, ~keep]
-        leak = operator_norm(v0.conj().T @ m_sym @ v0)
+        leak = _hermitian_norm(v0.conj().T @ m_sym @ v0)
         if leak > tol.residual_tol * max(1.0, m_norm):
             return 0.0
     if rank == 0:

@@ -106,14 +106,11 @@ def predicted_bounds(
     """Frame bounds guaranteed for the perturbed family.
 
     ``(((1-l1) A - gamma)/(1+l2), ((1+l1) B + gamma ||K||^2)/(1-l2))``;
-    admissibility makes the lower value positive.
+    admissibility makes the lower value positive.  ``(A, B)`` need not
+    satisfy ``B >= A``: for ``||K|| < 1`` optimal bounds have ``A > B``.
     """
     if not lower > 0.0:
         raise InadmissibleParams(f"lower bound must be positive, got {lower!r}")
-    if not upper >= lower:
-        raise InadmissibleParams(
-            f"upper bound {upper!r} must be >= lower bound {lower!r}"
-        )
     if not params.admissible(lower):
         raise InadmissibleParams(
             f"max(l2, gamma/A + l1) = "

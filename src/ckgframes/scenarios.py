@@ -289,6 +289,11 @@ def _count(raw: dict, key: str, default: int) -> int:
     return count
 
 
+def _scenario_int(sc: dict, key: str, default: int) -> int:
+    """An integer field of the scenario object, read like the top-level counts."""
+    return _integer(sc.get(key, default), f'scenario "{key}"')
+
+
 def load_config(path) -> ScenarioConfig:
     """Read and parse a JSON config file; IO/JSON failures raise ParseError."""
     try:
@@ -308,20 +313,26 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[OperatorFamily, np.ndarray]:
     try:
         if cfg.kind == "paper_example":
             return build_paper_example(
-                m=int(sc.get("m", 8)),
+                m=_scenario_int(sc, "m", 8),
                 partition_measures=sc.get("partition_measures"),
-                atoms_per_cell=int(sc.get("atoms_per_cell", 1)),
+                atoms_per_cell=_scenario_int(sc, "atoms_per_cell", 1),
             )
         if cfg.kind == "continuous_fourier":
             return build_continuous_fourier(
-                n=int(sc.get("dim", 4)), n_atoms=int(sc.get("n_atoms", 64))
+                n=_scenario_int(sc, "dim", 4), n_atoms=_scenario_int(sc, "n_atoms", 64)
             )
         if cfg.kind == "random":
+            fiber_dims = sc.get("fiber_dims", 1)
+            what = 'scenario "fiber_dims"'
+            if isinstance(fiber_dims, list):
+                fiber_dims = [_integer(d, what) for d in fiber_dims]
+            else:
+                fiber_dims = _integer(fiber_dims, what)
             fam = build_random_frame(
-                n=int(sc.get("dim", 4)),
-                atoms=int(sc.get("n_atoms", 8)),
-                fiber_dims=sc.get("fiber_dims", 1),
-                seed=int(sc.get("seed", cfg.seed)),
+                n=_scenario_int(sc, "dim", 4),
+                atoms=_scenario_int(sc, "n_atoms", 8),
+                fiber_dims=fiber_dims,
+                seed=_scenario_int(sc, "seed", cfg.seed),
             )
         else:  # explicit
             if "family" not in sc:
@@ -415,7 +426,7 @@ def _run_refine(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> l
 
         def refine(value):
             return build_paper_example(
-                int(sc.get("m", 8)), sc.get("partition_measures"), atoms_per_cell=value
+                _scenario_int(sc, "m", 8), sc.get("partition_measures"), atoms_per_cell=value
             )[0]
 
     else:

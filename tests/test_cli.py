@@ -88,6 +88,14 @@ ONE_BY_ONE = [[[1.0, 0.0]]]
         explicit_scenario([("a", -1.0)], [ONE_BY_ONE]),
         # K must have one row per ambient coordinate
         {"scenario": {"kind": "random", "dim": 2, "K": ONE_BY_ONE}},
+        # scenario sizes and seeds are integers: no truncation, no conversion
+        {"scenario": {"kind": "random", "dim": 2.7, "n_atoms": 3.9}},
+        {"scenario": {"kind": "random", "dim": 2, "n_atoms": 3, "fiber_dims": 1.5}},
+        {"scenario": {"kind": "random", "dim": 2, "n_atoms": 2, "fiber_dims": [1, True]}},
+        {"scenario": {"kind": "random", "dim": 2, "seed": 0.5}},
+        {"scenario": {"kind": "paper_example", "m": 2.5}},
+        {"scenario": {"kind": "paper_example", "m": 2, "atoms_per_cell": "3"}},
+        {"scenario": {"kind": "continuous_fourier", "dim": True, "n_atoms": 8}},
     ],
 )
 def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, field):

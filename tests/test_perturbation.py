@@ -81,6 +81,24 @@ def test_predicted_bounds_gate():
         assert bounds.lower > 0.0
 
 
+def test_verify_perturbation_when_lower_bound_exceeds_upper():
+    # ||K|| < 1: one identity atom on C^2 with K = I/2 has optimal bounds (4, 1)
+    fam = OperatorFamily(
+        space=DiscreteMeasureSpace([Atom("a", 1.0, 2)]), ops=[np.eye(2)], ambient_dim=2
+    )
+    half = 0.5 * np.eye(2)
+    base = optimal_bounds(fam, half)
+    assert (base.lower, base.upper) == (4.0, 1.0)
+    params = scalar_perturbation_params(0.1)
+    report = verify_perturbation(fam, scale_family(fam, 0.9), half, params, 8, seed=0)
+    # ((1 - 0.19) 4, (1 + 0.19) 1) against the shrunk family's own 0.81 (4, 1)
+    assert report.predicted.lower == pytest.approx(3.24, abs=1e-12)
+    assert report.predicted.upper == pytest.approx(1.19, abs=1e-12)
+    assert report.empirical.lower == pytest.approx(3.24, abs=1e-12)
+    assert report.empirical.upper == pytest.approx(0.81, abs=1e-12)
+    assert report.success
+
+
 def test_predicted_bounds_monotonicity():
     eye = np.diag([1.0, 2.0])
     base = predicted_bounds(1.0, 2.0, eye, PerturbationParams(0.1, 0.1, 0.1))
