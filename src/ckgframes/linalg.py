@@ -116,28 +116,10 @@ def _square(m, what: str) -> np.ndarray:
     return m
 
 
-# Relative roundoff, per unit of dimension, of a computed eigenvalue or
-# Frobenius norm: the sufficient Hermitian test shrinks max|eig| by this much
-# times n, so that roundoff cannot turn a rejection into an acceptance.
-_EIG_ROUNDOFF = 8 * np.finfo(np.float64).eps
-
-
-def _require_hermitian(h: np.ndarray, w: np.ndarray, tol: TolerancePolicy, what: str) -> None:
-    """Raise :class:`NotHermitian` unless ``||H - H*|| <= residual_tol * ||H||``.
-
-    ``w`` are the eigenvalues of ``(H + H*)/2``.  Since ``||D||_2 <= ||D||_F``
-    for ``D = H - H*`` and ``||H|| >= max|w|`` (the numerical range of ``H``
-    contains the eigenvalues of its Hermitian part), the test passes without
-    an SVD when ``||D||_F <= residual_tol * (max|w| - ||D||_F / 2)``.  Only when
-    that sufficient bound is inconclusive are the two spectral norms taken.
-    """
-    d = h - h.conj().T
-    d_fro = float(np.linalg.norm(d))
-    top = _abs_max(w) * (1.0 - _EIG_ROUNDOFF * h.shape[0])
-    if d_fro <= tol.residual_tol * (top - d_fro / 2.0):
-        return
+def _require_hermitian(h: np.ndarray, tol: TolerancePolicy, what: str) -> None:
+    """Raise :class:`NotHermitian` unless ``||H - H*|| <= residual_tol * ||H||``."""
     hnorm = operator_norm(h)
-    deviation = operator_norm(d)
+    deviation = operator_norm(h - h.conj().T)
     if deviation > tol.residual_tol * hnorm:
         raise NotHermitian(
             f"{what} deviates from Hermitian by {deviation:.3e} "
@@ -149,20 +131,20 @@ def _spectrum(h, tol: TolerancePolicy, what: str, vectors: bool = False):
     """``(sym, w, v)``: the Hermitian part ``(H + H*)/2``, its eigenvalues
     ascending and, if ``vectors``, its eigenvectors (else ``None``).
 
-    One eigendecomposition decides everything: an exactly Hermitian input
-    is its own Hermitian part and needs no further test; otherwise the same
-    eigenvalues feed :func:`_require_hermitian`.
+    An exactly Hermitian input is its own Hermitian part and needs no
+    further test; any other input must pass :func:`_require_hermitian`.
     """
     h = _square(h, what)
     h_adj = h.conj().T
-    exact = np.array_equal(h, h_adj)
-    sym = h if exact else (h + h_adj) / 2.0
+    if np.array_equal(h, h_adj):
+        sym = h
+    else:
+        _require_hermitian(h, tol, what)
+        sym = (h + h_adj) / 2.0
     if vectors:
         w, v = np.linalg.eigh(sym)
     else:
         w, v = np.linalg.eigvalsh(sym), None
-    if not exact:
-        _require_hermitian(h, w, tol, what)
     return sym, w, v
 
 
