@@ -11,6 +11,7 @@ and the canonical dual when the frame operator is invertible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,17 +19,18 @@ from .errors import DegenerateDual, InvalidPair, NotAFrame
 from .frames import (
     OperatorFamily,
     _check_reference,
+    _read_only,
     _row_weights,
     _split_rows,
     check_synthesis_range,
-    frame_operator,
     synthesis_matrix,
 )
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _loewner_gap,
-    hermitian_eigen,
+    _svd_pinv,
+    _thin_svd,
     operator_norm,
     pseudo_inverse,
 )
@@ -53,6 +55,11 @@ class DualPair:
     dual_family: OperatorFamily
     reproduced_operator: np.ndarray
     residual: float
+
+    @cached_property
+    def _k_svd(self):
+        """``_thin_svd`` of the reproduced operator, taken once per pair."""
+        return _thin_svd(self.reproduced_operator)
 
 
 def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -> DualPair:
@@ -84,15 +91,14 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
     return DualPair(
         primary_family=lam,
         dual_family=dual,
-        reproduced_operator=k,
+        reproduced_operator=_read_only(k),
         residual=residual,
     )
 
 
 def bessel_constant(fam: OperatorFamily) -> float:
     """Optimal Bessel constant: ``lambda_max`` of the frame operator."""
-    s = frame_operator(fam)
-    return float(np.linalg.eigvalsh(s)[-1]) if s.size else 0.0
+    return float(fam._frame[1].eigenvalues[-1])
 
 
 def lower_bound_from_dual(pair: DualPair) -> float:
@@ -115,13 +121,14 @@ def theta_dual(pair: DualPair, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFa
     Vanishes on the orthogonal complement of ``range(K)`` because
     ``pinv(K)`` annihilates it.
     """
-    k = pair.reproduced_operator
-    allowed = tol.residual_tol * max(1.0, operator_norm(k))
+    # ||K|| and pinv(K) both come from the pair's one SVD of K
+    svd = pair._k_svd
+    allowed = tol.residual_tol * (1.0 if svd is None else max(1.0, float(svd[1][0])))
     if pair.residual > allowed:
         raise InvalidPair(
             f"pair residual {pair.residual:.3e} exceeds {allowed:.3e}"
         )
-    k_pinv = pseudo_inverse(k, tol)
+    k_pinv = _svd_pinv(pair.reproduced_operator, svd, tol)
     return OperatorFamily(
         space=pair.dual_family.space,
         ops=tuple(op @ k_pinv for op in pair.dual_family.ops),
@@ -135,7 +142,7 @@ def canonical_dual(fam: OperatorFamily, tol: TolerancePolicy = DEFAULT_TOL) -> O
     Requires the family to be a frame for the whole space (S invertible),
     i.e. a positive Loewner gap against the identity.
     """
-    s = hermitian_eigen(frame_operator(fam), tol)
+    _, s = fam._frame
     n = fam.ambient_dim
     # the identity is its own spectrum: M = I has eigenvalues exactly 1
     gap = _loewner_gap(s, np.eye(n), np.ones(n), tol)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .linalg import (
     _loewner_gap,
     _spectrum,
     as_matrix,
-    hermitian_eigen,
     is_psd,
     range_inclusion,
 )
@@ -51,7 +51,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """One operator per atom; ``ops[k]`` has shape (fiber_dim_k, ambient_dim)."""
+    """One operator per atom; ``ops[k]`` has shape (fiber_dim_k, ambient_dim).
+
+    The family caches ``S`` and its spectrum on first use, so ``ops[k]`` is
+    a read-only view of the input; writing into the caller's array later is
+    undefined.
+    """
 
     space: DiscreteMeasureSpace
     ops: tuple[np.ndarray, ...]
@@ -61,7 +66,7 @@ class OperatorFamily:
         ambient_dim = int(ambient_dim)
         if ambient_dim < 1:
             raise DimensionMismatch(f"ambient_dim must be >= 1, got {ambient_dim}")
-        coerced = tuple(as_matrix(op) for op in ops)
+        coerced = tuple(_read_only(as_matrix(op)) for op in ops)
         if len(coerced) != len(space.atoms):
             raise DimensionMismatch(
                 f"{len(coerced)} operators for {len(space.atoms)} atoms"
@@ -75,6 +80,21 @@ class OperatorFamily:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "ops", coerced)
         object.__setattr__(self, "ambient_dim", ambient_dim)
+
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, HermitianEigen]:
+        """Read-only ``S`` and its ``eigh``, built on first use.  Tolerance-free:
+        ``S`` is exactly Hermitian, so ``_spectrum`` never reads ``tol``."""
+        s = _read_only(frame_operator(self))
+        _, w, v = _spectrum(s, DEFAULT_TOL, "frame operator", vectors=True)
+        return s, HermitianEigen(eigenvalues=_read_only(w), eigenvectors=_read_only(v))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on write; ``a`` itself stays writable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)
@@ -123,22 +143,14 @@ def synthesis(fam: OperatorFamily, coeffs: BlockVector) -> np.ndarray:
 
 
 def frame_operator(fam: OperatorFamily) -> np.ndarray:
-    """``S = sum_k weight_k * ops[k]* ops[k]``; Hermitian PSD by construction."""
+    """``S = sum_k weight_k * ops[k]* ops[k]``; Hermitian PSD by construction.
+
+    A fresh writable array; decisions read the family's cached copy instead.
+    """
     n = fam.ambient_dim
     s = np.zeros((n, n), dtype=np.complex128)
     for atom, op in zip(fam.space.atoms, fam.ops):
         s += atom.weight * (op.conj().T @ op)
-    return (s + s.conj().T) / 2.0
-
-
-def _stacked_frame_operator(rows: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
-    """``S`` from the operators stacked in atom order, ``(total fiber dim, n)``.
-
-    ``row_weights`` repeats each atom's weight over its rows.  One product
-    instead of one per atom, so it may differ from :func:`frame_operator` in
-    the last bits.
-    """
-    s = (rows.conj().T * row_weights) @ rows
     return (s + s.conj().T) / 2.0
 
 
@@ -211,10 +223,10 @@ def optimal_bounds(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -
     family misses part of the range of K).  A finite lower constant is
     capped at ``upper / ||K||^2``, the most that ``A ||K||^2 <= B`` allows,
     so that roundoff cannot produce a pair :func:`verify_frame` rejects.
-    Both constants come from one eigendecomposition of ``S``.
+    Both constants come from the family's one eigendecomposition of ``S``.
     """
     k = _check_reference(fam, k)
-    s = hermitian_eigen(frame_operator(fam), tol)
+    _, s = fam._frame
     upper = max(float(s.eigenvalues[-1]), 0.0)
     kk, kk_w = _reference_gram(k)
     lower = _loewner_gap(s, kk, kk_w, tol)
@@ -256,8 +268,9 @@ def verify_frame(
             raise ValueError("claimed lower bound exceeds claimed upper bound / ||K||^2")
 
     diagnostics: list[str] = []
-    # one decomposition of S serves every test below
-    s, w, v = _spectrum(frame_operator(fam), tol, "frame operator", vectors=k is not None)
+    # the family's one decomposition of S serves every test below
+    s, spectrum = fam._frame
+    w = spectrum.eigenvalues
     top = float(w[-1])
     slack = tol.psd_slack * max(1.0, claimed.upper)
     bessel = top <= claimed.upper + slack
@@ -276,7 +289,7 @@ def verify_frame(
 
     frame = bessel and is_psd(s - claimed.lower * kk, tol)
 
-    gap = _loewner_gap(HermitianEigen(eigenvalues=w, eigenvectors=v), kk, kk_w, tol)
+    gap = _loewner_gap(spectrum, kk, kk_w, tol)
     if math.isinf(gap):
         diagnostics.append(
             "reference operator is numerically zero: lower bound is vacuous (+inf)"

@@ -99,14 +99,22 @@ def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     ``M pinv(M) f = f`` for ``f`` in the range of ``M``.
     """
     m = as_matrix(m)
-    rows, cols = m.shape
-    if m.size == 0 or not m.any():
-        return np.zeros((cols, rows), dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s > tol.rel_rank_cutoff * s[0]
-    if not keep.any():
-        return np.zeros((cols, rows), dtype=np.complex128)
-    return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    return _svd_pinv(m, _thin_svd(m), tol)
+
+
+def _thin_svd(m: np.ndarray):
+    """``(u, s, vh)`` with ``s`` descending, or ``None`` for a zero (or empty) ``m``."""
+    return np.linalg.svd(m, full_matrices=False) if m.any() else None
+
+
+def _svd_pinv(m: np.ndarray, svd, tol: TolerancePolicy) -> np.ndarray:
+    """:func:`pseudo_inverse` of ``m`` from its :func:`_thin_svd`."""
+    if svd is not None:
+        u, s, vh = svd
+        keep = s > tol.rel_rank_cutoff * s[0]
+        if keep.any():
+            return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    return np.zeros(m.shape[::-1], dtype=np.complex128)
 
 
 def _square(m, what: str) -> np.ndarray:

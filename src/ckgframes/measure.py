@@ -57,10 +57,6 @@ class DiscreteMeasureSpace:
     def fiber_dims(self) -> tuple[int, ...]:
         return tuple(a.fiber_dim for a in self.atoms)
 
-    @property
-    def total_fiber_dim(self) -> int:
-        return sum(self.fiber_dims)
-
     def partition_measure(self, label: str) -> float:
         """Measure of the cell with the given tag (sum of its atoms' weights)."""
         return float(sum(a.weight for a in self.atoms if a.partition == label))

@@ -29,9 +29,8 @@ from .frames import (
     FrameBounds,
     OperatorFamily,
     _check_reference,
-    _row_weights,
+    _reference_gram,
     _rows,
-    _stacked_frame_operator,
     check_synthesis_range,
     optimal_bounds,
 )
@@ -116,8 +115,8 @@ def predicted_bounds(
             f"max(l2, gamma/A + l1) = "
             f"{max(params.lambda2, params.gamma / lower + params.lambda1)!r} >= 1"
         )
-    k = as_matrix(k)
-    k_norm_sq = operator_norm(k) ** 2
+    # ||K||^2 as the bound rules of frames read it
+    k_norm_sq = float(_reference_gram(as_matrix(k))[1][-1])
     new_lower = ((1.0 - params.lambda1) * lower - params.gamma) / (1.0 + params.lambda2)
     new_upper = ((1.0 + params.lambda1) * upper + params.gamma * k_norm_sq) / (
         1.0 - params.lambda2
@@ -141,22 +140,6 @@ def _sample_pairs(dim: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.n
         norms[norms == 0.0] = 1.0
         pair.append(z / norms)
     return pair[0], pair[1]
-
-
-def _adversarial_vectors(
-    lam_rows: np.ndarray, gam_rows: np.ndarray, row_weights: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """Eigenvectors of both frame operators and of K K*, as candidate extremes."""
-    candidates = []
-    for h in (
-        _stacked_frame_operator(lam_rows, row_weights),
-        _stacked_frame_operator(gam_rows, row_weights),
-        k @ k.conj().T,
-    ):
-        sym = (h + h.conj().T) / 2.0
-        _, v = np.linalg.eigh(sym)
-        candidates.append(v)
-    return np.hstack(candidates)
 
 
 def _condition_slack(
@@ -219,13 +202,13 @@ def sample_condition(
     k = _check_reference(lam, k)
     fs, gs = _sample_pairs(lam.ambient_dim, n_samples, seed)
 
-    lam_rows = _rows(lam)
-    gam_rows = _rows(gam)
-    row_weights = _row_weights(lam.space)
-    adversarial = _adversarial_vectors(lam_rows, gam_rows, row_weights, k)
+    # eigenvectors of both frame operators and of K K*, as candidate extremes
+    kk = k @ k.conj().T
+    _, k_vectors = np.linalg.eigh((kk + kk.conj().T) / 2.0)
+    adversarial = np.hstack([lam._frame[1].eigenvectors, gam._frame[1].eigenvectors, k_vectors])
     fs = np.hstack([fs, adversarial])
     gs = np.hstack([gs, adversarial])
-    return float(np.max(_condition_slack(lam_rows, gam_rows, lam.space, k, params, fs, gs)))
+    return float(np.max(_condition_slack(_rows(lam), _rows(gam), lam.space, k, params, fs, gs)))
 
 
 def verify_perturbation(
