@@ -9,10 +9,11 @@ Subcommands::
                                                         own request list
 
 Exit codes: 0 success, 1 a verification failed or an operation errored,
-2 input error (unreadable/invalid config).
+2 input error (unreadable/invalid config, unwritable ``--out``).
 
 Reports are JSON with sorted keys, so runs with a fixed seed are
-byte-identical apart from the wall-clock field.
+byte-identical apart from the wall-clock field.  Each dict entry gets a
+line of its own; lists and scalars are written on one line.
 """
 
 from __future__ import annotations
@@ -87,8 +88,26 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     return parse_config(_apply_overrides(raw, args))
 
 
+# built once: ``json.dumps(value, sort_keys=True)`` builds this encoder per call
+_ONE_LINE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _encode(value, indent: str = "") -> str:
+    """JSON text of ``value`` with sorted keys: a non-empty dict is written one
+    entry per line, two spaces deeper per level; every other value goes on one
+    line through the C encoder (``json.dumps`` falls back to a pure-Python
+    encoder whenever ``indent`` is set)."""
+    if not (isinstance(value, dict) and value):
+        return _ONE_LINE(value)
+    inner = indent + "  "
+    entries = ",\n".join(
+        f"{inner}{_ONE_LINE(key)}: {_encode(value[key], inner)}" for key in sorted(value)
+    )
+    return f"{{\n{entries}\n{indent}}}"
+
+
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _encode(report) + "\n"
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
@@ -108,7 +127,12 @@ def main(argv=None) -> int:
     except OSError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as err:
+        reason = err.strerror or err
+        sys.stderr.write(f"error: cannot write report to {args.out or 'stdout'}: {reason}\n")
+        return 2
     return 0 if report["success"] else 1
 
 

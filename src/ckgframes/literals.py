@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .frames import FrameBounds, FrameReport, OperatorFamily
+from .frames import FrameBounds, FrameReport, OperatorFamily, _rows
 from .linalg import as_matrix
 from .measure import Atom, DiscreteMeasureSpace, validate
 
@@ -31,9 +31,14 @@ __all__ = [
 ]
 
 
+def _pairs(m: np.ndarray) -> list:
+    """``[re, im]`` pairs over the last axis of ``m``; ``tolist`` yields the
+    same Python floats as ``float(entry.real)``, ``-0.0`` included."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
 def matrix_to_literal(m) -> list[list[list[float]]]:
-    m = as_matrix(m)
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in m]
+    return _pairs(as_matrix(m))
 
 
 def matrix_from_literal(literal) -> np.ndarray:
@@ -94,10 +99,15 @@ def space_from_literal(literal) -> DiscreteMeasureSpace:
 
 
 def family_to_literal(fam: OperatorFamily) -> dict:
+    """The family's ops were validated when it was built, so they are encoded
+    as one stacked array and split at the fiber offsets."""
+    rows = _pairs(_rows(fam))
+    ends = np.cumsum(fam.space.fiber_dims, dtype=int).tolist()
+    starts = [0] + ends[:-1]
     return {
         "ambient_dim": int(fam.ambient_dim),
         "space": space_to_literal(fam.space),
-        "ops": [matrix_to_literal(op) for op in fam.ops],
+        "ops": [rows[start:end] for start, end in zip(starts, ends)],
     }
 
 

@@ -159,3 +159,16 @@ def test_reports_identical_across_runs(tmp_path):
         payload.pop("wall_clock_seconds")
         outputs.append(json.dumps(payload, sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+def test_out_in_missing_directory_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["paper-example", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report to {out}: ") and err.count("\n") == 1
+
+
+def test_out_is_directory_exits_2_with_one_line(tmp_path, capsys):
+    assert main(["paper-example", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report to {tmp_path}: ") and err.count("\n") == 1
