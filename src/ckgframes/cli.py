@@ -19,6 +19,7 @@ line of its own; lists and scalars are written on one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -64,6 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("run", help="run every request listed in the config")
     _add_common_flags(sub, config_required=True)
     return parser
+
+
+# Building the parser costs some fifty times as much as one parse, and
+# parsing leaves it unchanged, so every call of ``main`` shares one.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
@@ -116,7 +124,7 @@ def _emit(report: dict, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load(args)
         requests = None if args.command in ("run", "paper-example") else (args.command,)

@@ -21,7 +21,7 @@ from .frames import (
     _check_reference,
     _read_only,
     _row_weights,
-    _split_rows,
+    _times,
     check_synthesis_range,
     synthesis_matrix,
 )
@@ -83,11 +83,8 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
             "the family is not a frame for this reference operator "
             f"(factorization residual {residual:.3e}, allowed {allowed:.3e})"
         )
-    dual = OperatorFamily(
-        space=lam.space,
-        ops=_split_rows(packed / np.sqrt(_row_weights(lam.space))[:, None], lam.space),
-        ambient_dim=lam.ambient_dim,
-    )
+    packed /= np.sqrt(_row_weights(lam.space))[:, None]
+    dual = OperatorFamily.from_rows(lam.space, packed, lam.ambient_dim)
     return DualPair(
         primary_family=lam,
         dual_family=dual,
@@ -129,11 +126,8 @@ def theta_dual(pair: DualPair, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFa
             f"pair residual {pair.residual:.3e} exceeds {allowed:.3e}"
         )
     k_pinv = _svd_pinv(pair.reproduced_operator, svd, tol)
-    return OperatorFamily(
-        space=pair.dual_family.space,
-        ops=tuple(op @ k_pinv for op in pair.dual_family.ops),
-        ambient_dim=pair.dual_family.ambient_dim,
-    )
+    dual = pair.dual_family
+    return OperatorFamily.from_rows(dual.space, _times(dual, k_pinv), dual.ambient_dim)
 
 
 def canonical_dual(fam: OperatorFamily, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFamily:
@@ -150,11 +144,7 @@ def canonical_dual(fam: OperatorFamily, tol: TolerancePolicy = DEFAULT_TOL) -> O
         raise NotAFrame("frame operator is singular; no canonical dual exists")
     w, v = s.eigenvalues, s.eigenvectors
     s_inv = (v / w) @ v.conj().T
-    return OperatorFamily(
-        space=fam.space,
-        ops=tuple(op @ s_inv for op in fam.ops),
-        ambient_dim=fam.ambient_dim,
-    )
+    return OperatorFamily.from_rows(fam.space, _times(fam, s_inv), fam.ambient_dim)
 
 
 def pullback_by(fam: OperatorFamily, t) -> OperatorFamily:
@@ -164,12 +154,7 @@ def pullback_by(fam: OperatorFamily, t) -> OperatorFamily:
     ``||T*||^2``.
     """
     t = _check_reference(fam, t, square=True)
-    t_adj = t.conj().T
-    return OperatorFamily(
-        space=fam.space,
-        ops=tuple(op @ t_adj for op in fam.ops),
-        ambient_dim=fam.ambient_dim,
-    )
+    return OperatorFamily.from_rows(fam.space, _times(fam, t.conj().T), fam.ambient_dim)
 
 
 def k_power_family(

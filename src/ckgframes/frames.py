@@ -77,9 +77,59 @@ class OperatorFamily:
                     f"operator for atom {atom.atom_id!r} has shape {op.shape}, "
                     f"expected ({atom.fiber_dim}, {ambient_dim})"
                 )
+        self._assign(space, coerced, ambient_dim)
+
+    def _assign(self, space, ops: tuple[np.ndarray, ...], ambient_dim: int) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "ops", coerced)
+        object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "ambient_dim", ambient_dim)
+
+    @classmethod
+    def _from_views(cls, space, ops: tuple[np.ndarray, ...], ambient_dim: int) -> "OperatorFamily":
+        """A family of already checked read-only ops, taken as they are."""
+        fam = cls.__new__(cls)
+        fam._assign(space, ops, ambient_dim)
+        return fam
+
+    @classmethod
+    def from_rows(cls, space, rows, ambient_dim, starts=None) -> "OperatorFamily":
+        """Family whose atom k carries ``rows[starts[k] : starts[k] + fiber_dim_k]``.
+
+        The stacked ``(R, ambient_dim)`` array is checked once (one coercion,
+        one finite test) and every op is a read-only view of it, so atoms
+        with the same start share their rows.  Without ``starts`` the blocks
+        follow one another in atom order and must use every row.
+        """
+        ambient_dim = _ambient(ambient_dim)
+        rows = _read_only(as_matrix(rows))
+        if rows.shape[1] != ambient_dim:
+            raise DimensionMismatch(
+                f"rows have shape {rows.shape}, expected (any, {ambient_dim})"
+            )
+        dims = np.array(space.fiber_dims, dtype=np.intp)
+        if starts is None:
+            if rows.shape[0] != int(dims.sum()):
+                raise DimensionMismatch(
+                    f"{rows.shape[0]} rows for a total fiber dim of {int(dims.sum())}"
+                )
+            starts = np.cumsum(dims) - dims
+        else:
+            starts = np.asarray(starts)
+            if starts.shape != dims.shape or (starts.size and starts.dtype.kind not in "iu"):
+                raise DimensionMismatch(
+                    f"starts must be {dims.size} integers, one per atom, "
+                    f"got shape {starts.shape} of {starts.dtype}"
+                )
+        ends = starts + dims
+        outside = np.flatnonzero((starts < 0) | (ends > rows.shape[0]))
+        if outside.size:
+            k = int(outside[0])
+            raise DimensionMismatch(
+                f"atom {space.atoms[k].atom_id!r} starts at row {int(starts[k])} and needs "
+                f"{int(dims[k])} rows, but there are {rows.shape[0]}"
+            )
+        ops = tuple(rows[a:b] for a, b in zip(starts.tolist(), ends.tolist()))
+        return cls._from_views(space, ops, ambient_dim)
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, HermitianEigen]:
@@ -88,6 +138,13 @@ class OperatorFamily:
         s = _read_only(frame_operator(self))
         _, w, v = _spectrum(s, DEFAULT_TOL, "frame operator", vectors=True)
         return s, HermitianEigen(eigenvalues=_read_only(w), eigenvectors=_read_only(v))
+
+
+def _ambient(ambient_dim) -> int:
+    ambient_dim = int(ambient_dim)
+    if ambient_dim < 1:
+        raise DimensionMismatch(f"ambient_dim must be >= 1, got {ambient_dim}")
+    return ambient_dim
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -142,16 +199,68 @@ def synthesis(fam: OperatorFamily, coeffs: BlockVector) -> np.ndarray:
     return out
 
 
+# frame_operator forms the products ``op* op`` of a batch of atoms at once, as
+# many as fit in _BATCH_BYTES.  A batch of fewer than _MIN_BATCH atoms costs
+# more in numpy calls than it saves, so such atoms, and every atom once
+# n > 32, run the plain loop body.
+_BATCH_BYTES = 128 * 1024
+_MIN_BATCH = 8
+
+
+def _runs(space: DiscreteMeasureSpace, limit: int):
+    """Atom ranges ``[a, b)`` in atom order, each of one fiber dim and at
+    most ``limit`` atoms long."""
+    dims = np.asarray(space.fiber_dims)
+    edges = [0, *(np.flatnonzero(np.diff(dims)) + 1).tolist(), dims.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for a in range(lo, hi, limit):
+            yield a, min(a + limit, hi)
+
+
 def frame_operator(fam: OperatorFamily) -> np.ndarray:
     """``S = sum_k weight_k * ops[k]* ops[k]``; Hermitian PSD by construction.
 
-    A fresh writable array; decisions read the family's cached copy instead.
+    The terms are added in atom order, a batch of atoms at a time, so ``S``
+    is bitwise the result of the plain per-atom loop.  A fresh writable
+    array; decisions read the family's cached copy instead.
     """
     n = fam.ambient_dim
     s = np.zeros((n, n), dtype=np.complex128)
-    for atom, op in zip(fam.space.atoms, fam.ops):
-        s += atom.weight * (op.conj().T @ op)
+    atoms, weights, ops = fam.space.atoms, fam.space.weights, fam.ops
+    batch = _BATCH_BYTES // (16 * n * n)
+    # below _MIN_BATCH no batch forms, and each run is looped whole
+    limit = batch if batch >= _MIN_BATCH else max(1, len(ops))
+    for a, b in _runs(fam.space, limit):
+        if not _MIN_BATCH <= b - a <= batch:
+            for atom, op in zip(atoms[a:b], ops[a:b]):
+                s += atom.weight * (op.conj().T @ op)
+            continue
+        block = np.concatenate(ops[a:b]).reshape(b - a, ops[a].shape[0], n)
+        p = np.matmul(block.conj().transpose(0, 2, 1), block)
+        np.multiply(weights[a:b, np.newaxis, np.newaxis], p, out=p)
+        p[0] += s
+        # Complex addition is componentwise.  On the float view the atom axis
+        # is never the innermost one (not even for n = 1), so numpy sums it
+        # term by term in atom order instead of pairwise.
+        s = p.view(np.float64).sum(axis=0).view(np.complex128)
     return (s + s.conj().T) / 2.0
+
+
+def _times(fam: OperatorFamily, m: np.ndarray) -> np.ndarray:
+    """Stacked rows of ``ops[k] @ m``.  Each batch, atoms of one fiber dim
+    whose ops fit in _BATCH_BYTES, is one batched matmul, which forms every
+    block exactly as ``ops[k] @ m`` does."""
+    n = fam.ambient_dim
+    out = np.empty((sum(fam.space.fiber_dims), m.shape[1]), dtype=np.complex128)
+    widest = max([1, *fam.space.fiber_dims])
+    row = 0
+    for a, b in _runs(fam.space, max(1, _BATCH_BYTES // (16 * n * widest))):
+        d = fam.ops[a].shape[0]
+        block = np.concatenate(fam.ops[a:b]).reshape(b - a, d, n)
+        end = row + (b - a) * d
+        np.matmul(block, m, out=out[row:end].reshape(b - a, d, m.shape[1]))
+        row = end
+    return out
 
 
 def _rows(fam: OperatorFamily) -> np.ndarray:
@@ -319,20 +428,21 @@ def check_synthesis_range(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT
 
 def scale_family(fam: OperatorFamily, factor: complex) -> OperatorFamily:
     """Multiply every operator of the family by a scalar."""
-    return OperatorFamily(
-        space=fam.space,
-        ops=tuple(factor * op for op in fam.ops),
-        ambient_dim=fam.ambient_dim,
-    )
+    # numpy's elementwise loops can round a product differently by its place in
+    # the array, so each block is scaled alone, as the per-atom product would be
+    rows = np.vstack([factor * op for op in fam.ops]) if fam.ops else _rows(fam)
+    return OperatorFamily.from_rows(fam.space, rows, fam.ambient_dim)
 
 
 def refine_family(fam: OperatorFamily, parts: int) -> OperatorFamily:
     """Split every atom into equal-weight sub-atoms carrying the same operator.
 
     Leaves analysis energies, the frame operator, and all bounds unchanged.
+    The sub-atoms share the parent's checked, read-only ops: nothing is
+    copied or checked again.
     """
     from .measure import refine_space
 
     refined = refine_space(fam.space, parts)
     ops = tuple(op for op in fam.ops for _ in range(parts))
-    return OperatorFamily(space=refined, ops=ops, ambient_dim=fam.ambient_dim)
+    return OperatorFamily._from_views(refined, ops, fam.ambient_dim)

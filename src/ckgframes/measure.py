@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +50,16 @@ class DiscreteMeasureSpace:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    @property
+    # Built on first use and kept with the space, which is immutable; the
+    # cache is no dataclass field, so equality and hashing ignore it.
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([a.weight for a in self.atoms], dtype=float)
+        """Atom weights in atom order, read-only."""
+        weights = np.array([a.weight for a in self.atoms], dtype=float)
+        weights.setflags(write=False)
+        return weights
 
-    @property
+    @cached_property
     def fiber_dims(self) -> tuple[int, ...]:
         return tuple(a.fiber_dim for a in self.atoms)
 

@@ -31,6 +31,8 @@ from .frames import (
     _check_reference,
     _reference_gram,
     _rows,
+    _split_rows,
+    _times,
     check_synthesis_range,
     optimal_bounds,
 )
@@ -265,12 +267,10 @@ def project_out_range(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL
     """
     k = _check_reference(fam, k)
     projector = np.eye(fam.ambient_dim) - k @ pseudo_inverse(k, tol)
-    ops = []
-    for op in fam.ops:
-        projected = op @ projector
+    rows = _times(fam, projector)
+    for op, projected in zip(fam.ops, _split_rows(rows, fam.space)):
         # rows that lie inside range(K) must come out exactly zero, not as
         # projection roundoff whose own relative range would be meaningless
         chop = tol.rel_rank_cutoff * max(1.0, operator_norm(op))
         projected[np.abs(projected) <= chop] = 0.0
-        ops.append(projected)
-    return OperatorFamily(space=fam.space, ops=ops, ambient_dim=fam.ambient_dim)
+    return OperatorFamily.from_rows(fam.space, rows, fam.ambient_dim)

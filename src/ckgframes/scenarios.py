@@ -24,6 +24,7 @@ A config file is a single JSON object; see the README for the schema.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .duality import bessel_constant, douglas_gamma, lower_bound_from_dual, theta_dual
+from .duality import DualPair, bessel_constant, douglas_gamma, lower_bound_from_dual, theta_dual
 from .errors import DimensionMismatch, InvalidConfig, ParseError, ToolkitError
 from .frames import (
     FrameBounds,
@@ -105,25 +106,24 @@ def build_paper_example(
 
     dim = 2 * m
     k_op = np.zeros((dim, dim), dtype=np.complex128)
+    pairs = np.zeros((m, dim), dtype=np.complex128)
     atoms: list[Atom] = []
-    ops: list[np.ndarray] = []
     for cell in range(m):
-        pair = np.zeros(dim, dtype=np.complex128)
-        pair[2 * cell] = 1.0
-        pair[2 * cell + 1] = 1.0
-        k_op[:, 2 * cell + 1] = pair
-        row = pair.conj()[np.newaxis, :] / math.sqrt(measures[cell])
-        for j in range(atoms_per_cell):
-            atoms.append(
-                Atom(
-                    atom_id=f"cell{cell}:{j}",
-                    weight=measures[cell] / atoms_per_cell,
-                    fiber_dim=1,
-                    partition=f"cell{cell}",
-                )
+        pairs[cell, 2 * cell : 2 * cell + 2] = 1.0
+        k_op[:, 2 * cell + 1] = pairs[cell]
+        atoms.extend(
+            Atom(
+                atom_id=f"cell{cell}:{j}",
+                weight=measures[cell] / atoms_per_cell,
+                fiber_dim=1,
+                partition=f"cell{cell}",
             )
-            ops.append(row)
-    fam = OperatorFamily(space=DiscreteMeasureSpace(atoms), ops=ops, ambient_dim=dim)
+            for j in range(atoms_per_cell)
+        )
+    # one row per cell, shared by all atoms of the cell
+    rows = pairs.conj() / np.sqrt(measures)[:, np.newaxis]
+    starts = np.repeat(np.arange(m), atoms_per_cell)
+    fam = OperatorFamily.from_rows(DiscreteMeasureSpace(atoms), rows, dim, starts=starts)
     return fam, k_op
 
 
@@ -143,9 +143,7 @@ def build_continuous_fourier(n: int, n_atoms: int) -> tuple[OperatorFamily, np.n
     thetas = 2.0 * math.pi * (np.arange(n_atoms) + 0.5) / n_atoms
     waves = np.exp(1j * np.outer(thetas, np.arange(n))) / math.sqrt(2.0 * math.pi)
     atoms = [Atom(atom_id=f"theta{j}", weight=weight, fiber_dim=1) for j in range(n_atoms)]
-    # one (1, n) row view per atom
-    ops = list(waves.conj()[:, np.newaxis, :])
-    fam = OperatorFamily(space=DiscreteMeasureSpace(atoms), ops=ops, ambient_dim=n)
+    fam = OperatorFamily.from_rows(DiscreteMeasureSpace(atoms), waves.conj(), n)
     return fam, np.eye(n, dtype=np.complex128)
 
 
@@ -166,11 +164,19 @@ def build_random_frame(n: int, atoms: int, fiber_dims, seed: int) -> OperatorFam
     space = DiscreteMeasureSpace(
         Atom(atom_id=f"atom{k}", weight=1.0, fiber_dim=d) for k, d in enumerate(dims)
     )
-    ops = [
-        (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / math.sqrt(2.0)
-        for d in dims
-    ]
-    return OperatorFamily(space=space, ops=ops, ambient_dim=n)
+    if len(set(dims)) == 1:
+        # one draw in the order of the per-atom draws: each atom's real part,
+        # then its imaginary part
+        draws = rng.standard_normal((atoms, 2, dims[0], n))
+        rows = ((draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)).reshape(-1, n)
+    else:
+        rows = np.vstack(
+            [
+                (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / math.sqrt(2.0)
+                for d in dims
+            ]
+        )
+    return OperatorFamily.from_rows(space, rows, n)
 
 
 @dataclass(frozen=True)
@@ -346,8 +352,8 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[OperatorFamily, np.ndarray]:
         raise InvalidConfig(f"malformed scenario parameters: {bad}") from None
 
 
-def _run_theta(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> dict:
-    pair = douglas_gamma(fam, k_op, cfg.tol)
+def _run_theta(cfg: ScenarioConfig, pair: DualPair) -> dict:
+    fam, k_op = pair.primary_family, pair.reproduced_operator
     theta = theta_dual(pair, cfg.tol)
     # synthesis(fam, analysis(theta, .)) and the reverse order
     forward = synthesis_matrix(fam) @ synthesis_matrix(theta).conj().T
@@ -473,6 +479,8 @@ def run_config(source, requests=None, csv_path=None) -> dict:
     errors: dict = {}
     passed = True
     todo = tuple(requests) if requests else cfg.requests
+    # the dual and theta requests share one Douglas factor
+    douglas = functools.cache(lambda: douglas_gamma(fam, k_op, cfg.tol))
 
     for request in todo:
         try:
@@ -489,7 +497,7 @@ def run_config(source, requests=None, csv_path=None) -> dict:
                     report.is_bessel if cfg.bessel_only else report.is_ckg_frame
                 )
             elif request == "dual":
-                pair = douglas_gamma(fam, k_op, cfg.tol)
+                pair = douglas()
                 results["dual"] = {
                     "primary_family": family_to_literal(pair.primary_family),
                     "dual_family": family_to_literal(pair.dual_family),
@@ -499,7 +507,7 @@ def run_config(source, requests=None, csv_path=None) -> dict:
                     "lower_bound_from_dual": lower_bound_from_dual(pair),
                 }
             elif request == "theta":
-                results["theta"] = _run_theta(cfg, fam, k_op)
+                results["theta"] = _run_theta(cfg, douglas())
                 passed = passed and results["theta"]["passed"]
             elif request == "perturb":
                 results["perturb"] = _run_perturb(cfg, fam, k_op)
