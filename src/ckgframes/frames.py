@@ -63,9 +63,7 @@ class OperatorFamily:
     ambient_dim: int
 
     def __init__(self, space, ops, ambient_dim) -> None:
-        ambient_dim = int(ambient_dim)
-        if ambient_dim < 1:
-            raise DimensionMismatch(f"ambient_dim must be >= 1, got {ambient_dim}")
+        ambient_dim = _ambient(ambient_dim)
         coerced = tuple(_read_only(as_matrix(op)) for op in ops)
         if len(coerced) != len(space.atoms):
             raise DimensionMismatch(
@@ -120,6 +118,9 @@ class OperatorFamily:
                     f"starts must be {dims.size} integers, one per atom, "
                     f"got shape {starts.shape} of {starts.dtype}"
                 )
+            # uint64 plus intp would be float64; a start past intp wraps
+            # negative and is rejected below
+            starts = starts.astype(np.intp)
         ends = starts + dims
         outside = np.flatnonzero((starts < 0) | (ends > rows.shape[0]))
         if outside.size:
@@ -247,19 +248,10 @@ def frame_operator(fam: OperatorFamily) -> np.ndarray:
 
 
 def _times(fam: OperatorFamily, m: np.ndarray) -> np.ndarray:
-    """Stacked rows of ``ops[k] @ m``.  Each batch, atoms of one fiber dim
-    whose ops fit in _BATCH_BYTES, is one batched matmul, which forms every
-    block exactly as ``ops[k] @ m`` does."""
-    n = fam.ambient_dim
+    """Stacked rows of ``ops[k] @ m`` in atom order, formed op by op."""
     out = np.empty((sum(fam.space.fiber_dims), m.shape[1]), dtype=np.complex128)
-    widest = max([1, *fam.space.fiber_dims])
-    row = 0
-    for a, b in _runs(fam.space, max(1, _BATCH_BYTES // (16 * n * widest))):
-        d = fam.ops[a].shape[0]
-        block = np.concatenate(fam.ops[a:b]).reshape(b - a, d, n)
-        end = row + (b - a) * d
-        np.matmul(block, m, out=out[row:end].reshape(b - a, d, m.shape[1]))
-        row = end
+    for op, block in zip(fam.ops, _split_rows(out, fam.space)):
+        np.matmul(op, m, out=block)
     return out
 
 

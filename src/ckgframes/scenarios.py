@@ -164,18 +164,13 @@ def build_random_frame(n: int, atoms: int, fiber_dims, seed: int) -> OperatorFam
     space = DiscreteMeasureSpace(
         Atom(atom_id=f"atom{k}", weight=1.0, fiber_dim=d) for k, d in enumerate(dims)
     )
-    if len(set(dims)) == 1:
-        # one draw in the order of the per-atom draws: each atom's real part,
-        # then its imaginary part
-        draws = rng.standard_normal((atoms, 2, dims[0], n))
-        rows = ((draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)).reshape(-1, n)
-    else:
-        rows = np.vstack(
-            [
-                (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / math.sqrt(2.0)
-                for d in dims
-            ]
-        )
+    # The per-atom draws in one: atom k, whose rows start at s_k, drew its d_k
+    # real rows and then its d_k imaginary rows, so row r of the family has
+    # its real part in draw row s_k + r and its imaginary part d_k rows later.
+    sizes = np.array(dims)
+    real = np.repeat(np.cumsum(sizes) - sizes, sizes) + np.arange(sizes.sum())
+    draws = rng.standard_normal((2 * int(sizes.sum()), n))
+    rows = (draws[real] + 1j * draws[real + np.repeat(sizes, sizes)]) / math.sqrt(2.0)
     return OperatorFamily.from_rows(space, rows, n)
 
 

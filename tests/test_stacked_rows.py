@@ -116,9 +116,10 @@ def test_from_rows_splits_rows_in_atom_order_as_read_only_views():
 def test_from_rows_repeated_starts_share_rows():
     rows = complex_randn(np.random.default_rng(2), 3, 2)
     space = DiscreteMeasureSpace(Atom(f"a{k}", 1.0, 1) for k in range(4))
-    fam = OperatorFamily.from_rows(space, rows, 2, starts=[2, 0, 2, 1])
-    assert np.shares_memory(fam.ops[0], fam.ops[2])
-    np.testing.assert_array_equal(np.vstack(fam.ops), rows[[2, 0, 2, 1]])
+    for starts in ([2, 0, 2, 1], np.array([2, 0, 2, 1], dtype=np.uint64)):
+        fam = OperatorFamily.from_rows(space, rows, 2, starts=starts)
+        assert np.shares_memory(fam.ops[0], fam.ops[2])
+        np.testing.assert_array_equal(np.vstack(fam.ops), rows[[2, 0, 2, 1]])
 
 
 def test_from_rows_rejects_bad_input():
@@ -139,6 +140,8 @@ def test_from_rows_rejects_bad_input():
         (np.ones(6), 2, None),  # not a matrix
         (good, 2, [0, 2]),  # atom b runs past the last row
         (good, 2, [-1, 0]),  # negative start
+        (good, 2, np.array([0, 2], dtype=np.uint64)),  # unsigned, past the last row
+        (good, 2, np.array([0, 2**64 - 1], dtype=np.uint64)),  # past any row index
         (good, 2, [0]),  # one start for two atoms
         (good, 2, [0.0, 1.0]),  # starts that are not integers
         (good, 0, None),  # no ambient dimension
@@ -173,11 +176,22 @@ def old_random_ops(n, dims, seed):
     ]
 
 
-@pytest.mark.parametrize("fiber_dims", [1, 3, [2, 2, 2, 2, 2], [1, 3, 2, 1, 4]])
-def test_random_frame_draws_match_per_atom_draws(fiber_dims):
-    atoms, n, seed = 5, 6, 91
-    dims = [fiber_dims] * atoms if isinstance(fiber_dims, int) else fiber_dims
-    fam = build_random_frame(n, atoms, fiber_dims, seed=seed)
+@pytest.mark.parametrize(
+    "n,dims",
+    [
+        (6, [1] * 5),
+        (6, [3] * 5),
+        (6, [1, 3, 2, 1, 4]),
+        (1, [2, 1, 1, 3]),
+        (33, [4, 1, 1, 2, 5, 1, 3]),
+        (128, [1] * 40 + [2] * 3),
+    ],
+)
+def test_random_frame_draws_match_per_atom_draws(n, dims):
+    seed = 91 + n
+    # equal dims go in as one int, as a config gives them
+    fiber_dims = dims[0] if len(set(dims)) == 1 else dims
+    fam = build_random_frame(n, len(dims), fiber_dims, seed=seed)
     for got, want in zip(fam.ops, old_random_ops(n, dims, seed), strict=True):
         assert_bitwise(got, want)
 
