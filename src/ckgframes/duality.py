@@ -19,7 +19,6 @@ from .errors import DegenerateDual, InvalidPair, NotAFrame
 from .frames import (
     OperatorFamily,
     _check_reference,
-    _read_only,
     _row_weights,
     _times,
     check_synthesis_range,
@@ -28,9 +27,8 @@ from .frames import (
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
+    _Decomposed,
     _loewner_gap,
-    _svd_pinv,
-    _thin_svd,
     operator_norm,
     pseudo_inverse,
 )
@@ -57,9 +55,9 @@ class DualPair:
     residual: float
 
     @cached_property
-    def _k_svd(self):
-        """``_thin_svd`` of the reproduced operator, taken once per pair."""
-        return _thin_svd(self.reproduced_operator)
+    def _k(self) -> _Decomposed:
+        """The record of the reproduced operator; theta reads its one SVD."""
+        return _Decomposed(self.reproduced_operator)
 
 
 def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -> DualPair:
@@ -74,9 +72,9 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
     """
     k = _check_reference(lam, k, square=True)
     t = synthesis_matrix(lam)
-    packed = pseudo_inverse(t, tol) @ k
-    residual = operator_norm(t @ packed - k)
-    allowed = tol.residual_tol * max(1.0, operator_norm(k))
+    packed = pseudo_inverse(t, tol) @ k.matrix
+    residual = operator_norm(t @ packed - k.matrix)
+    allowed = tol.residual_tol * max(1.0, operator_norm(k.matrix))
     if residual > allowed:
         raise NotAFrame(
             "range(K) is not contained in the range of the synthesis operator; "
@@ -85,12 +83,7 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
         )
     packed /= np.sqrt(_row_weights(lam.space))[:, None]
     dual = OperatorFamily.from_rows(lam.space, packed, lam.ambient_dim)
-    return DualPair(
-        primary_family=lam,
-        dual_family=dual,
-        reproduced_operator=_read_only(k),
-        residual=residual,
-    )
+    return DualPair(lam, dual, reproduced_operator=k.matrix, residual=residual)
 
 
 def bessel_constant(fam: OperatorFamily) -> float:
@@ -119,13 +112,13 @@ def theta_dual(pair: DualPair, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFa
     ``pinv(K)`` annihilates it.
     """
     # ||K|| and pinv(K) both come from the pair's one SVD of K
-    svd = pair._k_svd
+    svd = pair._k.svd
     allowed = tol.residual_tol * (1.0 if svd is None else max(1.0, float(svd[1][0])))
     if pair.residual > allowed:
         raise InvalidPair(
             f"pair residual {pair.residual:.3e} exceeds {allowed:.3e}"
         )
-    k_pinv = _svd_pinv(pair.reproduced_operator, svd, tol)
+    k_pinv = pair._k.pinv(tol)
     dual = pair.dual_family
     return OperatorFamily.from_rows(dual.space, _times(dual, k_pinv), dual.ambient_dim)
 
@@ -153,7 +146,7 @@ def pullback_by(fam: OperatorFamily, t) -> OperatorFamily:
     Maps a frame for K to a frame for ``T K`` with upper bound inflated by
     ``||T*||^2``.
     """
-    t = _check_reference(fam, t, square=True)
+    t = _check_reference(fam, t, square=True).matrix
     return OperatorFamily.from_rows(fam.space, _times(fam, t.conj().T), fam.ambient_dim)
 
 

@@ -24,8 +24,11 @@ from .linalg import (
     HermitianEigen,
     TolerancePolicy,
     _abs_max,
+    _Decomposed,
     _hermitian_norm,
     _loewner_gap,
+    _negligible,
+    _read_only,
     _spectrum,
     as_matrix,
     is_psd,
@@ -146,13 +149,6 @@ def _ambient(ambient_dim) -> int:
     if ambient_dim < 1:
         raise DimensionMismatch(f"ambient_dim must be >= 1, got {ambient_dim}")
     return ambient_dim
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A view of ``a`` that raises on write; ``a`` itself stays writable."""
-    view = a.view()
-    view.setflags(write=False)
-    return view
 
 
 @dataclass(frozen=True)
@@ -286,31 +282,21 @@ def synthesis_matrix(fam: OperatorFamily) -> np.ndarray:
     return t
 
 
-def _check_reference(fam: OperatorFamily, k, square: bool = False) -> np.ndarray:
-    """``k`` as a matrix with one row per ambient coordinate (and, if
-    ``square``, one column too, so that it acts on the ambient space)."""
-    k = as_matrix(k)
-    n = fam.ambient_dim
-    if k.shape[0] != n or (square and k.shape[1] != n):
+def _check_reference(fam: OperatorFamily, k, square: bool = False) -> _Decomposed:
+    """The record of ``k`` (``k`` itself if it is one); its matrix must have
+    one row per ambient coordinate, and one column too if ``square``."""
+    k = k if isinstance(k, _Decomposed) else _Decomposed(k)
+    n, shape = fam.ambient_dim, k.matrix.shape
+    if shape[0] != n or (square and shape[1] != n):
         want = f"({n}, {n})" if square else f"({n}, any)"
-        raise DimensionMismatch(f"reference operator must have shape {want}, got {k.shape}")
+        raise DimensionMismatch(f"reference operator must have shape {want}, got {shape}")
     return k
-
-
-def _reference_gram(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``K K*``, made exactly Hermitian, and its eigenvalues ascending.
-
-    The largest eigenvalue is ``||K||^2``; every bound rule reads it from here.
-    """
-    kk = k @ k.conj().T
-    kk = (kk + kk.conj().T) / 2.0
-    return kk, np.linalg.eigvalsh(kk)
 
 
 def _lower_cap(upper: float, kk_w: np.ndarray) -> float:
     """Largest lower constant consistent with ``upper``: ``A ||K||^2 <= B``.
 
-    ``kk_w`` are the eigenvalues of ``K K*`` from :func:`_reference_gram`.
+    ``kk_w`` are the record's ascending eigenvalues of ``K K*`` (``gram_w``).
     """
     k_norm_sq = float(kk_w[-1])
     return upper / k_norm_sq if k_norm_sq > 0.0 else float("inf")
@@ -329,10 +315,9 @@ def optimal_bounds(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -
     k = _check_reference(fam, k)
     _, s = fam._frame
     upper = max(float(s.eigenvalues[-1]), 0.0)
-    kk, kk_w = _reference_gram(k)
-    lower = _loewner_gap(s, kk, kk_w, tol)
+    lower = _loewner_gap(s, k.gram, k.gram_w, tol)
     if not math.isinf(lower):
-        lower = min(lower, _lower_cap(upper, kk_w))
+        lower = min(lower, _lower_cap(upper, k.gram_w))
     return FrameBounds(lower=lower, upper=upper)
 
 
@@ -356,16 +341,21 @@ def verify_frame(
     parseval => tight => frame => bessel always holds in the report.
     A claim whose upper constant is infinite raises ``ValueError``, and so
     does, when K is given, a lower constant outside
-    ``(0, upper / ||K||^2]``.
+    ``(0, upper / ||K||^2]``.  The one exception is the vacuous claim
+    ``lower = +inf`` against a numerically zero ``K K*`` (the Loewner gap's
+    own test), which :func:`optimal_bounds` returns there: it is accepted
+    with ``frame = bessel``.
     """
     if not claimed.upper < float("inf"):
         raise ValueError("claimed upper bound must be finite")
     if k is not None:
         k = _check_reference(fam, k)
-        kk, kk_w = _reference_gram(k)
-        if not 0 < claimed.lower < float("inf"):
+        vacuous = claimed.lower == float("inf") and _negligible(
+            k.gram_w, fam._frame[1].eigenvalues, tol
+        )
+        if not (0 < claimed.lower < float("inf") or vacuous):
             raise ValueError("claimed lower bound must be positive and finite")
-        if claimed.lower > _lower_cap(claimed.upper, kk_w):
+        if not vacuous and claimed.lower > _lower_cap(claimed.upper, k.gram_w):
             raise ValueError("claimed lower bound exceeds claimed upper bound / ||K||^2")
 
     diagnostics: list[str] = []
@@ -388,9 +378,10 @@ def verify_frame(
             diagnostics=tuple(diagnostics),
         )
 
-    frame = bessel and is_psd(s - claimed.lower * kk, tol)
+    # a vacuous claim forms no S - inf K K*
+    frame = bessel and (vacuous or is_psd(s - claimed.lower * k.gram, tol))
 
-    gap = _loewner_gap(spectrum, kk, kk_w, tol)
+    gap = _loewner_gap(spectrum, k.gram, k.gram_w, tol)
     if math.isinf(gap):
         diagnostics.append(
             "reference operator is numerically zero: lower bound is vacuous (+inf)"
@@ -398,7 +389,7 @@ def verify_frame(
         tight = False
     else:
         diagnostics.append(f"optimal lower constant (Loewner gap) = {gap!r}")
-        saturation = _hermitian_norm(s - gap * kk)
+        saturation = _hermitian_norm(s - gap * k.gram)
         tight = frame and saturation <= tol.residual_tol * max(1.0, _abs_max(w))
     parseval = tight and abs(gap - 1.0) <= tol.residual_tol
 
@@ -415,7 +406,7 @@ def verify_frame(
 def check_synthesis_range(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     """Range test ``range(K) <= range(T)``; equivalent to the frame property."""
     k = _check_reference(fam, k)
-    return range_inclusion(k, synthesis_matrix(fam), tol)
+    return range_inclusion(k.matrix, synthesis_matrix(fam), tol)
 
 
 def scale_family(fam: OperatorFamily, factor: complex) -> OperatorFamily:

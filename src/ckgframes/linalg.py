@@ -12,6 +12,7 @@ so they are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,23 +99,50 @@ def pseudo_inverse(m, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     transposed shape.  The result satisfies the four Penrose identities and
     ``M pinv(M) f = f`` for ``f`` in the range of ``M``.
     """
-    m = as_matrix(m)
-    return _svd_pinv(m, _thin_svd(m), tol)
+    return _Decomposed(m).pinv(tol)
 
 
-def _thin_svd(m: np.ndarray):
-    """``(u, s, vh)`` with ``s`` descending, or ``None`` for a zero (or empty) ``m``."""
-    return np.linalg.svd(m, full_matrices=False) if m.any() else None
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that raises on write; ``a`` itself stays writable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
-def _svd_pinv(m: np.ndarray, svd, tol: TolerancePolicy) -> np.ndarray:
-    """:func:`pseudo_inverse` of ``m`` from its :func:`_thin_svd`."""
-    if svd is not None:
-        u, s, vh = svd
-        keep = s > tol.rel_rank_cutoff * s[0]
-        if keep.any():
-            return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
-    return np.zeros(m.shape[::-1], dtype=np.complex128)
+class _Decomposed:
+    """A read-only matrix ``M`` and its decompositions, each formed on first
+    use: ``gram``, the exactly Hermitian ``M M*``, with its eigenvalues
+    ascending (``gram_w``) and eigenvectors (``gram_v``); and ``svd``, the thin
+    SVD ``(u, s, vh)``, or ``None`` for a zero ``M``.  Tolerance-free."""
+
+    def __init__(self, m) -> None:
+        self.matrix = _read_only(as_matrix(m))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        mm = self.matrix @ self.matrix.conj().T
+        return (mm + mm.conj().T) / 2.0
+
+    @cached_property
+    def gram_w(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.gram)
+
+    @cached_property
+    def gram_v(self) -> np.ndarray:
+        return np.linalg.eigh(self.gram)[1]
+
+    @cached_property
+    def svd(self):
+        return np.linalg.svd(self.matrix, full_matrices=False) if self.matrix.any() else None
+
+    def pinv(self, tol: TolerancePolicy) -> np.ndarray:
+        """:func:`pseudo_inverse` of ``matrix`` from the kept SVD."""
+        if self.svd is not None:
+            u, s, vh = self.svd
+            keep = s > tol.rel_rank_cutoff * s[0]
+            if keep.any():
+                return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+        return np.zeros(self.matrix.shape[::-1], dtype=np.complex128)
 
 
 def _square(m, what: str) -> np.ndarray:
@@ -166,6 +194,12 @@ def _psd(w: np.ndarray, tol: TolerancePolicy) -> bool:
     if w.size == 0:
         return True
     return bool(w[0] >= -tol.psd_slack * max(1.0, _abs_max(w)))
+
+
+def _negligible(m_w: np.ndarray, s_w: np.ndarray, tol: TolerancePolicy) -> bool:
+    """``||M|| <= rel_rank_cutoff * max(1, ||S||)`` from the two spectra: next
+    to ``S``, ``M`` is numerically zero and a constraint ``S >= A M`` vacuous."""
+    return _abs_max(m_w) <= tol.rel_rank_cutoff * max(1.0, _abs_max(s_w))
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
@@ -225,9 +259,9 @@ def _loewner_gap(
     if not _psd(m_w, tol):
         raise NotPsd("loewner_gap: M is not positive semidefinite")
 
-    m_norm = _abs_max(m_w)
-    if m_norm <= tol.rel_rank_cutoff * max(1.0, _abs_max(d)):
+    if _negligible(m_w, d, tol):
         return float("inf")
+    m_norm = _abs_max(m_w)
 
     keep = d > tol.rel_rank_cutoff * max(d[-1], 0.0)
     rank = int(np.count_nonzero(keep))

@@ -29,14 +29,14 @@ from .frames import (
     FrameBounds,
     OperatorFamily,
     _check_reference,
-    _reference_gram,
+    _lower_cap,
     _rows,
     _split_rows,
     _times,
     check_synthesis_range,
     optimal_bounds,
 )
-from .linalg import DEFAULT_TOL, TolerancePolicy, as_matrix, operator_norm, pseudo_inverse
+from .linalg import DEFAULT_TOL, TolerancePolicy, _Decomposed, operator_norm
 from .measure import DiscreteMeasureSpace
 
 __all__ = [
@@ -107,18 +107,24 @@ def predicted_bounds(
     """Frame bounds guaranteed for the perturbed family.
 
     ``(((1-l1) A - gamma)/(1+l2), ((1+l1) B + gamma ||K||^2)/(1-l2))``;
-    admissibility makes the lower value positive.  ``(A, B)`` need not
-    satisfy ``B >= A``: for ``||K|| < 1`` optimal bounds have ``A > B``.
+    admissibility makes the lower value positive.  A finite ``A`` must
+    satisfy ``A ||K||^2 <= B``, the rule of :func:`frames.verify_frame`, not
+    ``A <= B``: for ``||K|| < 1`` optimal bounds have ``A > B``.  The vacuous
+    ``A = +inf`` of a numerically zero K passes.
     """
     if not lower > 0.0:
         raise InadmissibleParams(f"lower bound must be positive, got {lower!r}")
+    kk_w = (k if isinstance(k, _Decomposed) else _Decomposed(k)).gram_w
+    cap = _lower_cap(upper, kk_w)
+    if math.isfinite(lower) and lower > cap:
+        raise InadmissibleParams(f"lower bound {lower!r} exceeds upper bound / ||K||^2 = {cap!r}")
     if not params.admissible(lower):
         raise InadmissibleParams(
             f"max(l2, gamma/A + l1) = "
             f"{max(params.lambda2, params.gamma / lower + params.lambda1)!r} >= 1"
         )
     # ||K||^2 as the bound rules of frames read it
-    k_norm_sq = float(_reference_gram(as_matrix(k))[1][-1])
+    k_norm_sq = float(kk_w[-1])
     new_lower = ((1.0 - params.lambda1) * lower - params.gamma) / (1.0 + params.lambda2)
     new_upper = ((1.0 + params.lambda1) * upper + params.gamma * k_norm_sq) / (
         1.0 - params.lambda2
@@ -205,12 +211,11 @@ def sample_condition(
     fs, gs = _sample_pairs(lam.ambient_dim, n_samples, seed)
 
     # eigenvectors of both frame operators and of K K*, as candidate extremes
-    kk = k @ k.conj().T
-    _, k_vectors = np.linalg.eigh((kk + kk.conj().T) / 2.0)
-    adversarial = np.hstack([lam._frame[1].eigenvectors, gam._frame[1].eigenvectors, k_vectors])
+    adversarial = np.hstack([lam._frame[1].eigenvectors, gam._frame[1].eigenvectors, k.gram_v])
     fs = np.hstack([fs, adversarial])
     gs = np.hstack([gs, adversarial])
-    return float(np.max(_condition_slack(_rows(lam), _rows(gam), lam.space, k, params, fs, gs)))
+    slack = _condition_slack(_rows(lam), _rows(gam), lam.space, k.matrix, params, fs, gs)
+    return float(np.max(slack))
 
 
 def verify_perturbation(
@@ -229,7 +234,7 @@ def verify_perturbation(
     roundoff level or below) and the measured optimal bounds of the
     perturbed family lie inside the predicted bracket.
     """
-    k = as_matrix(k)
+    k = _check_reference(lam, k)
     if not check_synthesis_range(lam, k, tol):
         raise NotAFrame("unperturbed family is not a frame for the reference operator")
     base = optimal_bounds(lam, k, tol)
@@ -266,7 +271,7 @@ def project_out_range(fam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL
     it to exercise failure reporting.
     """
     k = _check_reference(fam, k)
-    projector = np.eye(fam.ambient_dim) - k @ pseudo_inverse(k, tol)
+    projector = np.eye(fam.ambient_dim) - k.matrix @ k.pinv(tol)
     rows = _times(fam, projector)
     for op, projected in zip(fam.ops, _split_rows(rows, fam.space)):
         # rows that lie inside range(K) must come out exactly zero, not as

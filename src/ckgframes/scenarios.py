@@ -47,7 +47,7 @@ from .frames import (
     synthesis_matrix,
     verify_frame,
 )
-from .linalg import DEFAULT_TOL, TolerancePolicy, _svd_pinv, operator_norm
+from .linalg import TolerancePolicy, _Decomposed, operator_norm
 from .literals import (
     bound_to_literal,
     bounds_to_literal,
@@ -77,6 +77,18 @@ __all__ = [
 
 REQUEST_KINDS = ("bounds", "verify", "dual", "theta", "perturb", "refine")
 SCENARIO_KINDS = ("paper_example", "continuous_fourier", "random", "explicit")
+# The keys each config object may hold; a scenario's keys depend on its kind.
+CONFIG_KEYS = {
+    "config": ("scenario", "requests", "claimed", "bessel_only", "tolerances", "refine",
+               "perturb", "seed", "samples"),
+    "tolerances": ("rel_rank_cutoff", "psd_slack", "residual_tol"),
+    "refine": ("values",),
+    "perturb": ("delta", "lambda1", "lambda2", "gamma", "scale", "kill_range", "family"),
+    "paper_example": ("kind", "m", "partition_measures", "atoms_per_cell"),
+    "continuous_fourier": ("kind", "dim", "n_atoms"),
+    "random": ("kind", "dim", "n_atoms", "fiber_dims", "seed", "K"),
+    "explicit": ("kind", "family", "K"),
+}
 
 
 def build_paper_example(
@@ -195,12 +207,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
     """Validate a raw config dict; raises :class:`InvalidConfig` on problems."""
     if not isinstance(raw, dict):
         raise InvalidConfig("config must be a JSON object")
+    _known_keys(raw, "config", "the config")
     scenario = raw.get("scenario")
     if not isinstance(scenario, dict) or "kind" not in scenario:
         raise InvalidConfig('config must contain a "scenario" object with a "kind"')
     kind = scenario["kind"]
     if kind not in SCENARIO_KINDS:
         raise InvalidConfig(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
+    _known_keys(scenario, kind, f"a {kind!r} scenario")
+    measures = scenario.get("partition_measures")
+    if measures is not None:
+        if not isinstance(measures, list):
+            raise InvalidConfig('scenario "partition_measures" must be a list of numbers')
+        for x in measures:
+            _real(x, 'scenario "partition_measures" entries')
 
     requests_raw = raw.get("requests", ["bounds"])
     if not isinstance(requests_raw, list) or not requests_raw:
@@ -223,18 +243,17 @@ def parse_config(raw: dict) -> ScenarioConfig:
     tol_raw = raw.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise InvalidConfig('"tolerances" must be an object')
+    _known_keys(tol_raw, "tolerances", '"tolerances"')
     try:
-        tol = TolerancePolicy(
-            rel_rank_cutoff=float(tol_raw.get("rel_rank_cutoff", DEFAULT_TOL.rel_rank_cutoff)),
-            psd_slack=float(tol_raw.get("psd_slack", DEFAULT_TOL.psd_slack)),
-            residual_tol=float(tol_raw.get("residual_tol", DEFAULT_TOL.residual_tol)),
-        )
-    except (TypeError, ValueError) as bad:
+        # a missing key keeps the policy's default
+        tol = TolerancePolicy(**{key: _real(v, f'"tolerances" {key}') for key, v in tol_raw.items()})
+    except ValueError as bad:
         raise InvalidConfig(f'malformed "tolerances": {bad}') from None
 
     refine_raw = raw.get("refine", {})
     if not isinstance(refine_raw, dict):
         raise InvalidConfig('"refine" must be an object')
+    _known_keys(refine_raw, "refine", '"refine"')
     values = refine_raw.get("values", (9, 18, 36, 72))
     if not isinstance(values, (list, tuple)):
         raise InvalidConfig(f'"refine" values must be a list of integers, got {values!r}')
@@ -245,9 +264,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
     perturb = raw.get("perturb", {"delta": 0.1})
     if not isinstance(perturb, dict):
         raise InvalidConfig('"perturb" must be an object')
+    _known_keys(perturb, "perturb", '"perturb"')
     for key in ("delta", "lambda1", "lambda2", "gamma", "scale"):
         if key in perturb:
             _real(perturb[key], f'"perturb" {key}')
+    if "kill_range" in perturb:
+        _flag(perturb["kill_range"], '"perturb" kill_range')
 
     return ScenarioConfig(
         raw=raw,
@@ -255,7 +277,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         scenario=scenario,
         requests=tuple(requests),
         claimed=claimed,
-        bessel_only=bool(raw.get("bessel_only", False)),
+        bessel_only=_flag(raw.get("bessel_only", False), '"bessel_only"'),
         perturb=perturb,
         refine_values=refine_values,
         tol=tol,
@@ -264,12 +286,26 @@ def parse_config(raw: dict) -> ScenarioConfig:
     )
 
 
+def _known_keys(obj: dict, part: str, what: str) -> None:
+    """Raise InvalidConfig naming the first key of ``obj`` outside ``CONFIG_KEYS[part]``."""
+    allowed = CONFIG_KEYS[part]
+    for key in obj:
+        if key not in allowed:
+            raise InvalidConfig(f"unknown key {key!r} in {what}; expected one of {allowed}")
+
+
+def _flag(value, what: str) -> bool:
+    """A JSON boolean; anything else raises InvalidConfig."""
+    if not isinstance(value, bool):
+        raise InvalidConfig(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _real(value, what: str) -> float:
-    """A number (or numeric string) as float; anything else raises InvalidConfig."""
-    try:
+    """A JSON number as float; booleans, strings and anything else raise InvalidConfig."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{what} must be a number, got {value!r}") from None
+    raise InvalidConfig(f"{what} must be a number, got {value!r}")
 
 
 def _integer(value, what: str) -> int:
@@ -307,21 +343,21 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(raw)
 
 
-def build_scenario(cfg: ScenarioConfig) -> tuple[OperatorFamily, np.ndarray]:
-    """Instantiate the configured scenario as (family, reference operator)."""
+def build_scenario(cfg: ScenarioConfig) -> tuple[OperatorFamily, _Decomposed]:
+    """The configured scenario as (family, record of its reference operator)."""
     sc = cfg.scenario
     try:
         if cfg.kind == "paper_example":
-            return build_paper_example(
+            fam, k_op = build_paper_example(
                 m=_scenario_int(sc, "m", 8),
                 partition_measures=sc.get("partition_measures"),
                 atoms_per_cell=_scenario_int(sc, "atoms_per_cell", 1),
             )
-        if cfg.kind == "continuous_fourier":
-            return build_continuous_fourier(
+        elif cfg.kind == "continuous_fourier":
+            fam, k_op = build_continuous_fourier(
                 n=_scenario_int(sc, "dim", 4), n_atoms=_scenario_int(sc, "n_atoms", 64)
             )
-        if cfg.kind == "random":
+        elif cfg.kind == "random":
             fiber_dims = sc.get("fiber_dims", 1)
             what = 'scenario "fiber_dims"'
             if isinstance(fiber_dims, list):
@@ -338,11 +374,9 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[OperatorFamily, np.ndarray]:
             if "family" not in sc:
                 raise InvalidConfig('explicit scenario requires a "family" literal')
             fam = family_from_literal(sc["family"])
-        if "K" in sc:
-            k_op = _check_reference(fam, matrix_from_literal(sc["K"]))
-        else:
-            k_op = np.eye(fam.ambient_dim, dtype=np.complex128)
-        return fam, k_op
+        if cfg.kind in ("random", "explicit"):
+            k_op = matrix_from_literal(sc["K"]) if "K" in sc else np.eye(fam.ambient_dim)
+        return fam, _check_reference(fam, k_op)
     except (TypeError, ValueError, DimensionMismatch) as bad:
         raise InvalidConfig(f"malformed scenario parameters: {bad}") from None
 
@@ -355,7 +389,7 @@ def _run_theta(cfg: ScenarioConfig, pair: DualPair) -> dict:
     backward = forward.conj().T
     # one sample per column, drawn as real then imaginary part per sample
     draws = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, fam.ambient_dim))
-    fs = k_op @ _svd_pinv(k_op, pair._k_svd, cfg.tol) @ (draws[:, 0] + 1j * draws[:, 1]).T
+    fs = k_op @ pair._k.pinv(cfg.tol) @ (draws[:, 0] + 1j * draws[:, 1]).T
     norms = np.linalg.norm(fs, axis=0)
     kept = norms >= 1e-12
     fs, norms, tested = fs[:, kept], norms[kept], int(np.count_nonzero(kept))
@@ -370,7 +404,7 @@ def _run_theta(cfg: ScenarioConfig, pair: DualPair) -> dict:
     }
 
 
-def _run_perturb(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> dict:
+def _run_perturb(cfg: ScenarioConfig, fam: OperatorFamily, k_op: _Decomposed) -> dict:
     spec = cfg.perturb
     if "delta" in spec:
         delta = float(spec["delta"])
@@ -403,10 +437,10 @@ def _run_perturb(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> 
     }
 
 
-def _run_refine(cfg: ScenarioConfig, fam: OperatorFamily, k_op: np.ndarray) -> list[dict]:
+def _run_refine(cfg: ScenarioConfig, fam: OperatorFamily, k_op: _Decomposed) -> list[dict]:
     sc = cfg.scenario
     # the built-in kinds reproduce K K* exactly (Fourier: K = I)
-    target = k_op @ k_op.conj().T
+    target = k_op.gram
     if cfg.kind == "continuous_fourier":
         param = "n_atoms"
 

@@ -105,6 +105,34 @@ def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, field):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("field", "named"),
+    [
+        # each of these used to run, silently, with another meaning
+        ({"bessel_only": "no"}, "bessel_only"),
+        ({"requests": ["perturb"], "perturb": {"lambda1": 0.1, "kill_range": "no"}}, "kill_range"),
+        ({"claimed": [True, 4]}, "claimed"),
+        ({"reqests": ["bounds"]}, "reqests"),
+        ({"scenario": {"kind": "paper_example", "m": 2, "K": [[[1.0, 0.0]]]}}, "'K'"),
+        # unknown keys in every object, and numbers that are not JSON numbers
+        ({"tolerances": {"residual": 1e-9}}, "residual"),
+        ({"tolerances": {"residual_tol": "1e-9"}}, "residual_tol"),
+        ({"refine": {"value": [2]}}, "value"),
+        ({"perturb": {"detla": 0.1}}, "detla"),
+        ({"perturb": {"delta": "0.1"}}, "delta"),
+        ({"scenario": {"kind": "continuous_fourier", "dim": 2, "seed": 1}}, "seed"),
+        ({"scenario": {"kind": "paper_example", "m": 2, "partition_measures": [1, True]}},
+         "partition_measures"),
+    ],
+)
+def test_strict_config_keys_and_types_exit_2(tmp_path, capsys, field, named):
+    config = write_config(tmp_path, {**PAPER_CONFIG, **field})
+    assert main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_negative_samples_override_exits_2(tmp_path):
     config = write_config(tmp_path, PAPER_CONFIG)
     assert main(["perturb", "--config", config, "--samples", "-3"]) == 2

@@ -223,8 +223,29 @@ def test_verify_frame_rejects_bad_claims():
         verify_frame(fam, np.eye(2), FrameBounds(1.0, np.inf))
     with pytest.raises(ValueError):
         verify_frame(fam, np.eye(2), FrameBounds(2.0, 1.0))
-    with pytest.raises(ValueError):
-        verify_frame(fam, np.zeros((2, 2)), FrameBounds(np.inf, 1.0))
+    # +inf is the vacuous lower bound of a numerically zero K, and only there
+    assert verify_frame(fam, np.zeros((2, 2)), FrameBounds(np.inf, 1.0)).is_ckg_frame
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-20])
+def test_vacuous_lower_bound_round_trips(scale):
+    fam = single_atom_family(np.eye(2), weight=2.0)
+    k = scale * np.eye(2)
+    bounds = optimal_bounds(fam, k)
+    # with K = 1e-20 I the cap upper / ||K||^2 = 2e40 is finite: it must not apply
+    assert bounds.lower == np.inf and bounds.upper == 2.0
+    report = verify_frame(fam, k, bounds)
+    assert report.is_bessel and report.is_ckg_frame and not report.is_tight
+    # frame follows bessel alone
+    failed = verify_frame(fam, k, FrameBounds(np.inf, 1.0))
+    assert not failed.is_bessel and not failed.is_ckg_frame
+
+
+def test_infinite_lower_claim_needs_a_numerically_zero_k():
+    fam = single_atom_family(np.eye(2), weight=2.0)
+    for k in (1e-3 * np.eye(2), np.diag([1.0, 0.0]), np.eye(2)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_frame(fam, k, FrameBounds(np.inf, 2.0))
 
 
 def test_optimal_bounds_round_trip_edge_cases():

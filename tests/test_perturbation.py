@@ -49,8 +49,7 @@ def test_predicted_bounds_examples():
     assert (unperturbed.lower, unperturbed.upper) == (1.0, 1.0)
 
     # ((1-0.19)*1)/1 = 0.81 and ((1+0.19)*2 + 0)/1 = 2.38
-    k_sqrt2 = np.diag([np.sqrt(2.0), np.sqrt(2.0)])
-    b = predicted_bounds(1.0, 2.0, k_sqrt2, PerturbationParams(0.19, 0.0, 0.0))
+    b = predicted_bounds(1.0, 2.0, eye, PerturbationParams(0.19, 0.0, 0.0))
     assert b.lower == pytest.approx(0.81, abs=1e-12)
     assert b.upper == pytest.approx(2.38, abs=1e-12)
 
@@ -59,6 +58,26 @@ def test_predicted_bounds_examples():
     c = predicted_bounds(1.0, 4.0, k2, PerturbationParams(0.5, 0.5, 0.25))
     assert c.lower == pytest.approx(0.25 / 1.5, abs=1e-12)
     assert c.upper == pytest.approx(14.0, abs=1e-12)
+
+
+def test_predicted_bounds_needs_lower_times_norm_squared_at_most_upper():
+    eye = np.eye(2)
+    with pytest.raises(InadmissibleParams, match="exceeds upper bound"):
+        predicted_bounds(10.0, 1.0, eye, PerturbationParams(0.0, 0.0, 0.0))
+    with pytest.raises(InadmissibleParams):
+        predicted_bounds(1.0, 1.0, 2.0 * eye, PerturbationParams(0.0, 0.0, 0.0))
+    # the vacuous lower bound of a zero K passes, as verify_perturbation sends it
+    vacuous = predicted_bounds(np.inf, 1.0, np.zeros((2, 2)), PerturbationParams(0.1, 0.0, 0.0))
+    assert vacuous.lower == np.inf and vacuous.upper == pytest.approx(1.1)
+    # a pair from optimal_bounds never fails by one ulp, even where ||K||^2
+    # rounds up: K = sqrt(2) I gives ||K||^2 = 2.0000000000000004
+    fam = OperatorFamily(
+        space=DiscreteMeasureSpace([Atom("a", 2.0, 2)]), ops=[np.eye(2)], ambient_dim=2
+    )
+    k_sqrt2 = np.sqrt(2.0) * eye
+    bounds = optimal_bounds(fam, k_sqrt2)
+    b = predicted_bounds(bounds.lower, bounds.upper, k_sqrt2, PerturbationParams(0.19, 0.0, 0.0))
+    assert b.lower == pytest.approx(0.81, abs=1e-12)
 
 
 def test_predicted_bounds_gate():
@@ -100,7 +119,7 @@ def test_verify_perturbation_when_lower_bound_exceeds_upper():
 
 
 def test_predicted_bounds_monotonicity():
-    eye = np.diag([1.0, 2.0])
+    eye = np.diag([0.5, 1.0])
     base = predicted_bounds(1.0, 2.0, eye, PerturbationParams(0.1, 0.1, 0.1))
     for bumped in (
         PerturbationParams(0.2, 0.1, 0.1),

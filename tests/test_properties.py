@@ -16,21 +16,22 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 @st.composite
-def family_and_reference(draw):
+def family_and_reference(draw, norms=(1e-3, 0.3, 1.0, 7.0)):
     """A random family with a reference K that may be rectangular, rank
-    deficient, or of norm below one."""
+    deficient, or of norm below one (``||K||`` is drawn from ``norms``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 4))
     fam = random_family(rng, n)
     cols = draw(st.integers(1, 5))
     rank = draw(st.integers(1, min(n, cols)))
     k = complex_randn(rng, n, rank) @ complex_randn(rng, rank, cols)
-    k *= draw(st.sampled_from([1e-3, 0.3, 1.0, 7.0])) / operator_norm(k)
+    k *= draw(st.sampled_from(norms)) / operator_norm(k)
     return fam, k
 
 
 @PROPERTY
-@given(drawn=family_and_reference())
+# K = 0 and K = 1e-20 K' are numerically zero: the lower bound is a vacuous +inf
+@given(drawn=family_and_reference(norms=(0.0, 1e-20, 1e-3, 0.3, 1.0, 7.0)))
 def test_optimal_bounds_round_trip_through_verify_frame(drawn):
     fam, k = drawn
     bounds = optimal_bounds(fam, k)
