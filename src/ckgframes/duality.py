@@ -10,12 +10,11 @@ and the canonical dual when the frame operator is invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDual, InvalidPair, NotAFrame
+from .errors import DegenerateDual, InvalidPair, NotAFrame, NotPsd
 from .frames import (
     OperatorFamily,
     _check_reference,
@@ -28,7 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
     _Decomposed,
-    _loewner_gap,
+    _psd,
     operator_norm,
     pseudo_inverse,
 )
@@ -53,11 +52,28 @@ class DualPair:
     dual_family: OperatorFamily
     reproduced_operator: np.ndarray
     residual: float
+    # the record of the reproduced operator: douglas_gamma passes the one it
+    # checked, so theta reads that record's SVD instead of taking another
+    _k: _Decomposed | None = field(default=None, repr=False)
 
-    @cached_property
-    def _k(self) -> _Decomposed:
-        """The record of the reproduced operator; theta reads its one SVD."""
-        return _Decomposed(self.reproduced_operator)
+    def __post_init__(self) -> None:
+        if self._k is None:
+            object.__setattr__(self, "_k", _Decomposed(self.reproduced_operator))
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _allowance(k: _Decomposed, tol: TolerancePolicy) -> float:
+    """``residual_tol * max(1, ||K||)``, with ``||K||`` read from the record's SVD."""
+    svd = k.svd
+    return tol.residual_tol * (1.0 if svd is None else max(1.0, float(svd[1][0])))
+
+
+def _invertible(w: np.ndarray, tol: TolerancePolicy) -> bool:
+    """``lambda_min > rel_rank_cutoff * lambda_max`` on ascending eigenvalues:
+    the Loewner gap's rank cut keeps every eigenvalue."""
+    return bool(w[0] > tol.rel_rank_cutoff * w[-1])
 
 
 def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) -> DualPair:
@@ -67,14 +83,26 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
     raises :class:`NotAFrame`.  Among all factorizations the pseudo-inverse
     solution ``pinv(T) K`` has minimal norm, which makes the derived lower
     bound ``1/B_Gamma`` optimal.  The range test is the factorization
-    residual itself, ``||T pinv(T) K - K|| <= residual_tol * max(1, ||K||)``,
-    so ``pinv(T)`` is computed once.
+    residual itself, ``||T Gamma - K|| <= residual_tol * max(1, ||K||)``.
+
+    ``pinv(T) K`` is first formed as ``T* inv(S) K`` from the family's cached
+    spectrum of ``S = T T*``, when ``S`` is invertible by :func:`_invertible`
+    and that form's forward error, ``eps * cond(S)`` (it squares the
+    condition number of ``T``), is within ``residual_tol``.  Otherwise, or
+    when its residual misses, ``pinv(T) K`` from an SVD of ``T`` decides, so
+    the short form never turns a pass into :class:`NotAFrame`.
     """
     k = _check_reference(lam, k, square=True)
     t = synthesis_matrix(lam)
-    packed = pseudo_inverse(t, tol) @ k.matrix
-    residual = operator_norm(t @ packed - k.matrix)
-    allowed = tol.residual_tol * max(1.0, operator_norm(k.matrix))
+    allowed = _allowance(k, tol)
+    w, v = lam._frame[1].eigenvalues, lam._frame[1].eigenvectors
+    residual = np.inf
+    if _invertible(w, tol) and _EPS * w[-1] <= tol.residual_tol * w[0]:
+        packed = t.conj().T @ ((v / w) @ (v.conj().T @ k.matrix))
+        residual = operator_norm(t @ packed - k.matrix)
+    if residual > allowed:
+        packed = pseudo_inverse(t, tol) @ k.matrix
+        residual = operator_norm(t @ packed - k.matrix)
     if residual > allowed:
         raise NotAFrame(
             "range(K) is not contained in the range of the synthesis operator; "
@@ -83,7 +111,7 @@ def douglas_gamma(lam: OperatorFamily, k, tol: TolerancePolicy = DEFAULT_TOL) ->
         )
     packed /= np.sqrt(_row_weights(lam.space))[:, None]
     dual = OperatorFamily.from_rows(lam.space, packed, lam.ambient_dim)
-    return DualPair(lam, dual, reproduced_operator=k.matrix, residual=residual)
+    return DualPair(lam, dual, reproduced_operator=k.matrix, residual=residual, _k=k)
 
 
 def bessel_constant(fam: OperatorFamily) -> float:
@@ -112,8 +140,7 @@ def theta_dual(pair: DualPair, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFa
     ``pinv(K)`` annihilates it.
     """
     # ||K|| and pinv(K) both come from the pair's one SVD of K
-    svd = pair._k.svd
-    allowed = tol.residual_tol * (1.0 if svd is None else max(1.0, float(svd[1][0])))
+    allowed = _allowance(pair._k, tol)
     if pair.residual > allowed:
         raise InvalidPair(
             f"pair residual {pair.residual:.3e} exceeds {allowed:.3e}"
@@ -126,16 +153,16 @@ def theta_dual(pair: DualPair, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFa
 def canonical_dual(fam: OperatorFamily, tol: TolerancePolicy = DEFAULT_TOL) -> OperatorFamily:
     """Family ``ops[k] @ inv(S)``; reproduces every vector of the ambient space.
 
-    Requires the family to be a frame for the whole space (S invertible),
-    i.e. a positive Loewner gap against the identity.
+    Requires the family to be a frame for the whole space: ``S`` PSD and
+    invertible by :func:`_invertible`, read from its cached spectrum.  That
+    is the sign of the Loewner gap of ``S`` against the identity.
     """
-    _, s = fam._frame
-    n = fam.ambient_dim
-    # the identity is its own spectrum: M = I has eigenvalues exactly 1
-    gap = _loewner_gap(s, np.eye(n), np.ones(n), tol)
-    if not gap > 0.0:
-        raise NotAFrame("frame operator is singular; no canonical dual exists")
+    s = fam._frame[1]
     w, v = s.eigenvalues, s.eigenvectors
+    if not _psd(w, tol):
+        raise NotPsd("canonical_dual: frame operator is not positive semidefinite")
+    if not _invertible(w, tol):
+        raise NotAFrame("frame operator is singular; no canonical dual exists")
     s_inv = (v / w) @ v.conj().T
     return OperatorFamily.from_rows(fam.space, _times(fam, s_inv), fam.ambient_dim)
 

@@ -4,12 +4,15 @@ A matrix literal is a list of rows, each entry a 2-element list ``[re, im]``.
 A space literal is a list of ``{"id", "weight", "fiber_dim"}`` objects.
 A family literal is ``{"ambient_dim", "space", "ops"}``.
 Infinite bounds are encoded as the string ``"inf"`` (strict JSON has no
-Infinity literal).
+Infinity literal).  Literals read from a config follow the JSON-number rule of
+the rest of the config: entries, weights and dimensions must be JSON numbers,
+and booleans and numeric strings raise :class:`InvalidConfig`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,6 +32,22 @@ __all__ = [
     "bounds_to_literal",
     "report_to_literal",
 ]
+
+
+def _real(value, what: str) -> float:
+    """A JSON number as float; booleans, strings and anything else raise InvalidConfig."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidConfig(f"{what} must be a number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """An integral number as int; bools, strings and fractions raise InvalidConfig."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidConfig(f"{what} must be an integer, got {value!r}")
 
 
 def _pairs(m: np.ndarray) -> list:
@@ -55,6 +74,10 @@ def matrix_from_literal(literal) -> np.ndarray:
         for entry in row:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise InvalidConfig("matrix entries must be [re, im] pairs")
+            for value in entry:
+                # JSON gives float or int; only other types take _real's slower test
+                if type(value) not in (float, int):
+                    _real(value, "matrix literal entry")
     try:
         return as_matrix([[complex(float(re), float(im)) for re, im in row] for row in literal])
     except (TypeError, ValueError) as bad:
@@ -86,8 +109,8 @@ def space_from_literal(literal) -> DiscreteMeasureSpace:
             atoms.append(
                 Atom(
                     atom_id=str(item["id"]),
-                    weight=float(item["weight"]),
-                    fiber_dim=int(item["fiber_dim"]),
+                    weight=_real(item["weight"], 'atom "weight"'),
+                    fiber_dim=_integer(item["fiber_dim"], 'atom "fiber_dim"'),
                     partition=item.get("partition"),
                 )
             )
@@ -125,7 +148,8 @@ def family_from_literal(literal) -> OperatorFamily:
         raise InvalidConfig('family literal "ops" must be a list of matrix literals')
     ops = [matrix_from_literal(op) for op in literal["ops"]]
     try:
-        return OperatorFamily(space=space, ops=ops, ambient_dim=int(literal["ambient_dim"]))
+        ambient_dim = _integer(literal["ambient_dim"], 'family literal "ambient_dim"')
+        return OperatorFamily(space=space, ops=ops, ambient_dim=ambient_dim)
     except (TypeError, ValueError, DimensionMismatch) as bad:
         raise InvalidConfig(f"malformed family literal: {bad}") from None
 

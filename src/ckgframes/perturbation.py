@@ -49,11 +49,6 @@ __all__ = [
     "project_out_range",
 ]
 
-# Sampled slack at or below this (scaled) level counts as zero: the exact
-# equality cases land at accumulated roundoff, orders below any real violation.
-SLACK_ROUNDOFF = 1e-12
-
-
 @dataclass(frozen=True)
 class PerturbationParams:
     """Nonnegative perturbation constants (l1, l2, gamma)."""
@@ -248,7 +243,9 @@ def verify_perturbation(
     empirical = optimal_bounds(gam, k, tol)
     slack = sample_condition(lam, gam, k, params, n_samples, seed)
 
-    slack_ok = slack <= SLACK_ROUNDOFF * max(1.0, base.upper)
+    # slack at or below rel_rank_cutoff (scaled) counts as zero: the exact
+    # equality cases land at accumulated roundoff, orders below any violation
+    slack_ok = slack <= tol.rel_rank_cutoff * max(1.0, base.upper)
     bracket_ok = (
         predicted.lower <= empirical.lower + tol.residual_tol
         and empirical.upper <= predicted.upper + tol.residual_tol

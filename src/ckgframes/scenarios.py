@@ -27,7 +27,6 @@ import csv
 import functools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +48,8 @@ from .frames import (
 )
 from .linalg import TolerancePolicy, _Decomposed, operator_norm
 from .literals import (
+    _integer,
+    _real,
     bound_to_literal,
     bounds_to_literal,
     family_from_literal,
@@ -301,22 +302,6 @@ def _flag(value, what: str) -> bool:
     return value
 
 
-def _real(value, what: str) -> float:
-    """A JSON number as float; booleans, strings and anything else raise InvalidConfig."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise InvalidConfig(f"{what} must be a number, got {value!r}")
-
-
-def _integer(value, what: str) -> int:
-    """An integral number as int; bools, strings and fractions raise InvalidConfig."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise InvalidConfig(f"{what} must be an integer, got {value!r}")
-
-
 def _count(raw: dict, key: str, default: int) -> int:
     """A nonnegative integer field of the config."""
     count = _integer(raw.get(key, default), f'"{key}"')
@@ -391,7 +376,8 @@ def _run_theta(cfg: ScenarioConfig, pair: DualPair) -> dict:
     draws = np.random.default_rng(cfg.seed).standard_normal((cfg.samples, 2, fam.ambient_dim))
     fs = k_op @ pair._k.pinv(cfg.tol) @ (draws[:, 0] + 1j * draws[:, 1]).T
     norms = np.linalg.norm(fs, axis=0)
-    kept = norms >= 1e-12
+    # draws that K pinv(K) all but kills test nothing
+    kept = norms >= cfg.tol.rel_rank_cutoff
     fs, norms, tested = fs[:, kept], norms[kept], int(np.count_nonzero(kept))
     residuals = [np.linalg.norm(op @ fs - fs, axis=0) / norms for op in (forward, backward)]
     worst = float(np.max(residuals, initial=0.0))

@@ -133,6 +133,36 @@ def test_strict_config_keys_and_types_exit_2(tmp_path, capsys, field, named):
     assert named in err
 
 
+
+def _explicit(weight=1.0, fiber_dim=1, entry=1.0, k_entry=1.0):
+    family = {
+        "ambient_dim": 1,
+        "space": [{"id": "a", "weight": weight, "fiber_dim": fiber_dim}],
+        "ops": [[[[entry, 0.0]]]],
+    }
+    return {"scenario": {"kind": "explicit", "family": family, "K": [[[k_entry, 0.0]]]}}
+
+
+@pytest.mark.parametrize(
+    ("literal", "named"),
+    [
+        # each of these used to build a family with weight 2.5, fiber dim 1
+        # or entry 1, through float() and int()
+        (_explicit(weight="2.5"), "weight"),
+        (_explicit(fiber_dim=True), "fiber_dim"),
+        (_explicit(entry="1"), "matrix literal entry"),
+        (_explicit(k_entry=False), "matrix literal entry"),
+    ],
+)
+def test_literals_follow_the_json_number_rule(tmp_path, capsys, literal, named):
+    assert main(["run", "--config", write_config(tmp_path, _explicit())]) == 0
+    capsys.readouterr()
+    config = write_config(tmp_path, {**literal, "requests": ["bounds"]})
+    assert main(["run", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
 def test_negative_samples_override_exits_2(tmp_path):
     config = write_config(tmp_path, PAPER_CONFIG)
     assert main(["perturb", "--config", config, "--samples", "-3"]) == 2

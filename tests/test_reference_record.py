@@ -21,6 +21,7 @@ from ckgframes.perturbation import (
     sample_condition,
     verify_perturbation,
 )
+from ckgframes import scenarios
 from ckgframes.scenarios import run_config
 
 
@@ -57,6 +58,52 @@ def test_one_run_decomposes_k_k_star_once(monkeypatch):
     # sample_condition needs the eigenvectors
     assert calls == {"eigvalsh": 1, "eigh": 1}
 
+
+
+def test_dual_and_theta_share_the_run_record_of_k(monkeypatch):
+    """Douglas and theta judge the pair against one ||K||: one SVD of K per
+    run, read from the run's record, and no separate spectral norm of K."""
+    rng = np.random.default_rng(5)
+    k = complex_randn(rng, 4, 2) @ complex_randn(rng, 2, 4)
+    cfg = {
+        "scenario": {
+            "kind": "random", "dim": 4, "n_atoms": 12, "seed": 6,
+            "K": [[[z.real, z.imag] for z in row] for row in k],
+        },
+        "requests": ["dual", "theta"],
+        "samples": 8,
+    }
+    calls = {"svd": 0, "norm": 0}
+    real_svd, real_norm = np.linalg.svd, np.linalg.norm
+
+    def svd(a, *args, **kwargs):
+        calls["svd"] += np.array_equal(a, k)
+        return real_svd(a, *args, **kwargs)
+
+    def norm(a, ord=None, *args, **kwargs):
+        calls["norm"] += ord == 2 and np.array_equal(a, k)
+        return real_norm(a, ord, *args, **kwargs)
+
+    seen = {}
+    real_build, real_douglas = scenarios.build_scenario, scenarios.douglas_gamma
+
+    def build(cfg):
+        seen["fam"], seen["record"] = real_build(cfg)
+        return seen["fam"], seen["record"]
+
+    def douglas(*args, **kwargs):
+        seen["pair"] = real_douglas(*args, **kwargs)
+        return seen["pair"]
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(scenarios, "build_scenario", build)
+    monkeypatch.setattr(scenarios, "douglas_gamma", douglas)
+    report = run_config(cfg)
+    assert report["errors"] == {} and report["success"]
+    assert calls == {"svd": 1, "norm": 0}
+    assert seen["pair"]._k is seen["record"]
+    assert seen["pair"].reproduced_operator is seen["record"].matrix
 
 def _bits(value):
     """Every array and float of ``value``, for a bitwise comparison."""

@@ -25,6 +25,7 @@ from ckgframes.literals import (
     matrix_to_literal,
 )
 from ckgframes.measure import l2_norm, validate
+from ckgframes.perturbation import scalar_perturbation_params
 from ckgframes.scenarios import (
     build_continuous_fourier,
     build_paper_example,
@@ -229,6 +230,44 @@ def test_theta_pass_threshold_is_residual_tol(monkeypatch):
     loose = run_config({**base, "tolerances": {"residual_tol": 1e-5}})["results"]["theta"]
     assert loose["passed"]
 
+
+
+def test_rel_rank_cutoff_governs_sampled_slack_and_theta_draws():
+    """A tolerance sweep: the slack that counts as roundoff and the draws
+    theta drops as killed by ``K pinv(K)`` both move with rel_rank_cutoff."""
+    d = 0.1
+    shrink = scalar_perturbation_params(d)
+    # lambda1 a hair below the exact 1 - (1 - d)^2 leaves a slack of about
+    # 2e-10, inside the bracket's residual_tol but above 1e-12 * B
+    perturb = {
+        "scenario": {"kind": "random", "dim": 4, "n_atoms": 10, "seed": 3},
+        "requests": ["perturb"], "samples": 16, "seed": 2,
+        "perturb": {"lambda1": shrink.lambda1 - 1e-11, "lambda2": 0.0, "gamma": 0.0, "scale": 1 - d},
+    }
+    success = {}
+    for cut in (1e-12, 1e-8):
+        report = run_config({**perturb, "tolerances": {"rel_rank_cutoff": cut}})
+        assert report["errors"] == {}
+        success[cut] = report["results"]["perturb"]["success"]
+    assert success == {1e-12: False, 1e-8: True}
+
+    # S = I and K = diag(1, 0): a draw survives the projection with the norm
+    # of its first coordinate
+    family = {
+        "ambient_dim": 2,
+        "space": [{"id": "a", "weight": 1.0, "fiber_dim": 1}, {"id": "b", "weight": 1.0, "fiber_dim": 1}],
+        "ops": [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]],
+    }
+    theta = {
+        "scenario": {"kind": "explicit", "family": family, "K": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+        "requests": ["theta"], "samples": 64, "seed": 1,
+    }
+    tested = []
+    for cut in (1e-12, 0.3, 0.6):
+        report = run_config({**theta, "tolerances": {"rel_rank_cutoff": cut}})
+        assert report["success"]
+        tested.append(report["results"]["theta"]["samples"])
+    assert tested[0] == 64 and 64 > tested[1] > tested[2] > 0
 
 def test_load_config_errors(tmp_path):
     missing = tmp_path / "nope.json"

@@ -244,6 +244,27 @@ def test_cases_cover_every_outcome():
     }
 
 
+@pytest.mark.parametrize("name,fam,k", CASES, ids=[c[0] for c in CASES])
+def test_canonical_invertibility_rule_matches_the_identity_gap(name, fam, k):
+    """canonical_dual reads invertibility from eigh(S); on these families that
+    is the verdict of the Loewner gap of S against the identity."""
+    gap = loewner_gap(frame_operator(fam), np.eye(fam.ambient_dim))
+    assert outcome(canonical_dual, fam)[0] == ("ok" if gap > 0.0 else "raises")
+
+
+def test_canonical_dual_rejects_a_singular_frame_operator_of_large_norm():
+    # S = diag(1e13, 0): next to ||S|| the identity is "negligible", so the
+    # gap against it was +inf and the inverse divided by the zero eigenvalue
+    fam = OperatorFamily(
+        space=DiscreteMeasureSpace([Atom(atom_id="a0", weight=1e13, fiber_dim=1)]),
+        ops=[np.array([[1.0, 0.0]])],
+        ambient_dim=2,
+    )
+    assert np.linalg.norm(frame_operator(fam), 2) >= 1e12
+    with pytest.raises(NotAFrame, match="singular"):
+        canonical_dual(fam)
+
+
 def test_douglas_gamma_raises_once_with_residual_and_allowed_value():
     fam = _family([np.array([[1.0, 0.0]])])
     with pytest.raises(NotAFrame, match=r"range\(K\).*factorization residual .* allowed "):
@@ -335,11 +356,11 @@ def test_lapack_call_budget(monkeypatch):
     monkeypatch.undo()
 
     assert report.is_ckg_frame
-    # one eigh of S per decision (3); eigvalsh: K K* and the reduced gap in
-    # bounds and verify (4), the frame test and the tightness residual in
-    # verify (2), the reduced gap in canonical (1); one SVD of T in douglas,
-    # with norms only for its residual and ||K||
-    assert counts["eigh"] <= 3
-    assert counts["eigvalsh"] <= 7
+    # one eigh of S, cached by the family; eigvalsh: K K* and the reduced gap
+    # in bounds and verify (4), the frame test and the tightness residual in
+    # verify (2); canonical reads the spectrum of S only; douglas takes the
+    # SVD of K for ||K|| and a norm for its residual, and no SVD of T
+    assert counts["eigh"] <= 1
+    assert counts["eigvalsh"] <= 6
     assert counts["svd"] <= 1
-    assert counts["norm"] <= 2
+    assert counts["norm"] <= 1
